@@ -19,7 +19,6 @@ from .env import (
     run_episode,
 )
 from .generate import (
-    Cell,
     DistributionKind,
     DistributionParams,
     Grid,
@@ -38,10 +37,8 @@ from .llm import (
     HttpChatClient,
     LlmClientError,
     PromptBundle,
-    StubClient,
     build_prompt,
     parse_plan,
-    query_model,
 )
 from .runner import (
     Benchmark,

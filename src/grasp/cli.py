@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="aggregate results into tables")
     report.add_argument("--results", required=True, help="results JSONL path")
     report.add_argument("--group-by", default="all",
-                        choices=["all"] + [name for name, _ in runner.CONTROLS])
+                        choices=["all"] + [name for name in runner.CONTROLS if name != "average"])
     report.add_argument("--csv", help="also write aggregate rows to this CSV")
     report.add_argument("--json", action="store_true")
 

@@ -210,3 +210,21 @@ def run_episode(grid: Grid, constraints: ConstraintSet, plan: list[Action]) -> E
     for action in plan[: constraints.max_steps]:
         state.step(action)
     return state.result()
+
+
+def replay(trace: dict, grid: Grid) -> tuple[EpisodeResult, list[tuple[int, int]]]:
+    """Re-run a persisted trace on a grid: the result, plus the agent's
+    position before the first action and after each one.
+
+    Raises ValueError when any action's effect differs from the recorded one.
+    """
+    constraints = ConstraintSet.from_dict(trace["constraints"])
+    state = EpisodeState(grid, constraints)
+    positions = [state.agent_pos]
+    for action in trace["actions"][: constraints.max_steps]:
+        state.step(Action(action))
+        positions.append(state.agent_pos)
+    result = state.result()
+    if [effect.value for _, effect in result.trace] != trace["effects"]:
+        raise ValueError("trace does not replay on this grid")
+    return result, positions

@@ -16,6 +16,7 @@ whatever it lands on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +47,12 @@ class StartMode(str, Enum):
     OUTER = "outer"
 
 
+_KINDS = list(DistributionKind)
+
+# A grid's identity: distribution, obstacles on, start mode, grid index.
+GridKey = tuple[DistributionKind, bool, StartMode, int]
+
+
 @dataclass(frozen=True)
 class DistributionParams:
     """Sampled generative parameters; only the fields for one kind are set.
@@ -62,26 +69,12 @@ class DistributionParams:
     spiral_noise_seed: int | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for key in ("p", "p_top", "p_left", "n_clusters", "spiral_noise_seed"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.centers is not None:
-            out["centers"] = [list(c) for c in self.centers]
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionParams":
         centers = data.get("centers")
-        return cls(
-            p=data.get("p"),
-            p_top=data.get("p_top"),
-            p_left=data.get("p_left"),
-            n_clusters=data.get("n_clusters"),
-            centers=tuple((int(a), int(b)) for a, b in centers) if centers else None,
-            spiral_noise_seed=data.get("spiral_noise_seed"),
-        )
+        return cls(**{**data, "centers": tuple(map(tuple, centers)) if centers else None})
 
 
 @dataclass(frozen=True)
@@ -97,29 +90,7 @@ class GridSpec:
 
     @property
     def grid_id(self) -> str:
-        return (
-            f"dist={self.distribution.value}"
-            f"/obs={1 if self.has_obstacles else 0}"
-            f"/start={'in' if self.start_mode is StartMode.INNER else 'out'}"
-            f"/g={self.grid_index}"
-        )
-
-
-@dataclass(frozen=True)
-class Cell:
-    energy: int
-    obstacle: bool
-    is_start: bool
-
-    @property
-    def symbol(self) -> str:
-        if self.is_start:
-            return "A"
-        if self.obstacle:
-            return "O"
-        if self.energy > 0:
-            return "E"
-        return " "
+        return grid_id((self.distribution, self.has_obstacles, self.start_mode, self.grid_index))
 
 
 @dataclass
@@ -135,12 +106,16 @@ class Grid:
     def size(self) -> int:
         return GRID_SIZE
 
-    def cell(self, row: int, col: int) -> Cell:
-        return Cell(
-            energy=self.energy[row][col],
-            obstacle=self.obstacles[row][col],
-            is_start=(row, col) == self.start,
-        )
+    def symbol(self, row: int, col: int) -> str:
+        """The cell's glyph: "A" for the start, else "O" for an obstacle,
+        else "E" for any energy, else a blank."""
+        if (row, col) == self.start:
+            return "A"
+        if self.obstacles[row][col]:
+            return "O"
+        if self.energy[row][col] > 0:
+            return "E"
+        return " "
 
     def total_energy(self) -> int:
         return sum(sum(row) for row in self.energy)
@@ -314,6 +289,24 @@ def generate_grid(
     return Grid(energy=energy, obstacles=obstacles, start=start, spec=spec)
 
 
+def grid_parts(key: GridKey) -> tuple[int, int, int, int]:
+    """A grid's identity as the integers its seeds are derived from: kind
+    index, obstacles 0/1, start 0 (inner) or 1 (outer), grid index."""
+    kind, has_obstacles, start_mode, grid_index = key
+    return (
+        _KINDS.index(kind),
+        1 if has_obstacles else 0,
+        0 if start_mode is StartMode.INNER else 1,
+        grid_index,
+    )
+
+
+def grid_id(key: GridKey) -> str:
+    """A grid's identity as text: ``dist=<kind>/obs=<0|1>/start=<in|out>/g=<index>``."""
+    _, obstacles, start, index = grid_parts(key)
+    return f"dist={key[0].value}/obs={obstacles}/start={('in', 'out')[start]}/g={index}"
+
+
 def grid_seed(
     master_seed: int,
     kind: DistributionKind,
@@ -322,29 +315,21 @@ def grid_seed(
     grid_index: int,
 ) -> int:
     """Per-grid seed, stable regardless of generation order."""
-    kinds = list(DistributionKind)
-    return derive_seed(
-        _GRID_DOMAIN,
-        master_seed,
-        kinds.index(kind),
-        1 if has_obstacles else 0,
-        0 if start_mode is StartMode.INNER else 1,
-        grid_index,
-    )
+    key = (kind, has_obstacles, start_mode, grid_index)
+    return derive_seed(_GRID_DOMAIN, master_seed, *grid_parts(key))
+
+
+def grid_keys(indexes: range) -> list[GridKey]:
+    """Every grid identity over the given indexes, in benchmark order:
+    kinds x obstacles x start modes x indexes."""
+    return list(itertools.product(DistributionKind, (False, True), StartMode, indexes))
 
 
 def build_benchmark(master_seed: int, per_combo: int = 100) -> list[Grid]:
-    """All grids for the benchmark: kinds x obstacles x start modes x indexes."""
-    grids = []
-    for kind in DistributionKind:
-        for has_obstacles in (False, True):
-            for start_mode in (StartMode.INNER, StartMode.OUTER):
-                for index in range(per_combo):
-                    seed = grid_seed(master_seed, kind, has_obstacles, start_mode, index)
-                    grids.append(
-                        generate_grid(kind, has_obstacles, start_mode, index, seed)
-                    )
-    return grids
+    """All grids for the benchmark, in ``grid_keys`` order."""
+    return [
+        generate_grid(*key, grid_seed(master_seed, *key)) for key in grid_keys(range(per_combo))
+    ]
 
 
 def grid_to_dict(grid: Grid) -> dict:
@@ -362,7 +347,7 @@ def grid_to_dict(grid: Grid) -> dict:
         "seed": spec.seed,
         "start": list(grid.start),
         "cells": [
-            [grid.cell(i, j).symbol for j in range(GRID_SIZE)]
+            [grid.symbol(i, j) for j in range(GRID_SIZE)]
             for i in range(GRID_SIZE)
         ],
     }

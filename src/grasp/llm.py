@@ -14,9 +14,8 @@ import json
 import os
 import re
 import time
+import urllib.error
 from dataclasses import dataclass, field
-
-import requests
 
 from .env import Action, ActionSet, ConstraintSet
 from .generate import Grid
@@ -153,7 +152,6 @@ class ClientConfig:
     backoff_base: float = 1.0
     timeout: float = 60.0
     concurrency: int = 1
-    cassette_path: str | None = None
     api_key_env: str = "GRASP_API_KEY"
 
     @classmethod
@@ -179,14 +177,23 @@ def request_key(body: dict) -> str:
 
 
 class HttpChatClient:
-    """Minimal chat-completions client with exponential-backoff retries."""
+    """Minimal chat-completions client with exponential-backoff retries.
 
-    def __init__(self, config: ClientConfig, session=None, sleep=time.sleep):
+    Connection errors, timeouts, 429 and 5xx responses are retried; any
+    other error status fails at once.
+    """
+
+    def __init__(self, config: ClientConfig, urlopen=None, sleep=time.sleep):
         self.config = config
-        self.session = session or requests.Session()
+        self._urlopen = urlopen  # None means urllib.request.urlopen
         self._sleep = sleep
 
     def complete(self, bundle: PromptBundle) -> str:
+        # Imported here: cassette and baseline runs never load the HTTP stack.
+        import http.client
+        import urllib.request
+
+        urlopen = self._urlopen or urllib.request.urlopen
         api_key = os.environ.get(self.config.api_key_env) or os.environ.get(
             "OPENAI_API_KEY"
         )
@@ -194,43 +201,40 @@ class HttpChatClient:
             raise LlmClientError(
                 f"no API credential in ${self.config.api_key_env} or $OPENAI_API_KEY"
             )
-        body = bundle.request_body()
-        headers = {
-            "Authorization": f"Bearer {api_key}",
-            "Content-Type": "application/json",
-        }
+        request = urllib.request.Request(
+            self.config.endpoint,
+            data=json.dumps(bundle.request_body()).encode("utf-8"),
+            headers={
+                "Authorization": f"Bearer {api_key}",
+                "Content-Type": "application/json",
+            },
+            method="POST",
+        )
         last_error = None
         for attempt in range(self.config.max_retries):
             try:
-                response = self.session.post(
-                    self.config.endpoint,
-                    json=body,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-                if response.status_code == 429 or response.status_code >= 500:
-                    raise requests.RequestException(
-                        f"retryable status {response.status_code}"
-                    )
-                if response.status_code != 200:
+                with urlopen(request, timeout=self.config.timeout) as response:
+                    return _extract_content(response.read())
+            except urllib.error.HTTPError as exc:
+                if exc.code != 429 and exc.code < 500:
+                    body = exc.read().decode("utf-8", errors="replace")
                     raise LlmClientError(
-                        f"request failed with status {response.status_code}: "
-                        f"{response.text[:200]}"
-                    )
-                return _extract_content(response.json())
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt + 1 < self.config.max_retries:
-                    self._sleep(self.config.backoff_base * 2**attempt)
+                        f"request failed with status {exc.code}: {body[:200]}"
+                    ) from exc
+                last_error = f"retryable status {exc.code}"
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc  # URLError, timeouts, dropped or cut-off connections
+            if attempt + 1 < self.config.max_retries:
+                self._sleep(self.config.backoff_base * 2**attempt)
         raise LlmClientError(
             f"request failed after {self.config.max_retries} attempts: {last_error}"
         )
 
 
-def _extract_content(payload: dict) -> str:
+def _extract_content(body: bytes) -> str:
     try:
-        return payload["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
+        return json.loads(body)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise LlmClientError(f"malformed response payload: {exc}") from exc
 
 
@@ -271,21 +275,6 @@ class RecordingClient:
         return response
 
 
-class StubClient:
-    """Test double returning canned text, optionally per-request."""
-
-    def __init__(self, response="[]", responder=None):
-        self.response = response
-        self.responder = responder
-        self.calls: list[PromptBundle] = []
-
-    def complete(self, bundle: PromptBundle) -> str:
-        self.calls.append(bundle)
-        if self.responder is not None:
-            return self.responder(bundle)
-        return self.response
-
-
 def write_cassette(path: str, entries: list[tuple[dict, str]]) -> None:
     """Write a cassette file from (request body, response text) pairs."""
     records = {
@@ -294,8 +283,3 @@ def write_cassette(path: str, entries: list[tuple[dict, str]]) -> None:
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"records": records}, handle, indent=2, sort_keys=True)
-
-
-def query_model(bundle: PromptBundle, client) -> str:
-    """One completion for one instance through whichever client is wired in."""
-    return client.complete(bundle)

@@ -14,23 +14,29 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import agents as agents_mod
-from .env import Action, ActionSet, ConstraintSet, run_episode
+from .env import ActionSet, ConstraintSet, replay, run_episode
 from .generate import (
     DistributionKind,
     Grid,
+    GridKey,
     StartMode,
     build_benchmark,
     generate_grid,
     grid_from_dict,
+    grid_id,
+    grid_keys,
+    grid_parts,
     grid_seed,
     grid_to_dict,
 )
-from .llm import ActionPlan, LlmClientError, build_prompt, parse_plan, query_model
+from .llm import ActionPlan, LlmClientError, build_prompt, parse_plan
 from .rng import derive_seed
 from .textgrid import render
 
@@ -52,13 +58,15 @@ class InstanceId:
     carry_limit: int | None
     step_cost: float
 
+    @property
+    def grid_key(self) -> GridKey:
+        """The grid half of the instance."""
+        return (self.distribution, self.has_obstacles, self.start_mode, self.grid_index)
+
     def to_str(self) -> str:
         return (
-            f"dist={self.distribution.value}"
-            f"/obs={1 if self.has_obstacles else 0}"
-            f"/start={'in' if self.start_mode is StartMode.INNER else 'out'}"
-            f"/g={self.grid_index}"
-            f"/mu={1 if self.action_set is ActionSet.MU1 else 2}"
+            grid_id(self.grid_key)
+            + f"/mu={1 if self.action_set is ActionSet.MU1 else 2}"
             f"/lim={self.carry_limit or 0}"
             f"/cost={'0.3' if self.step_cost else '0'}"
         )
@@ -88,26 +96,13 @@ def enumerate_instances(index_lo: int = 0, index_hi: int = 99) -> list[InstanceI
     """All instances whose grid index lies in [index_lo, index_hi]."""
     if not (0 <= index_lo <= index_hi <= 99):
         raise ValueError(f"invalid grid index range {index_lo}..{index_hi}")
-    instances = []
-    for kind in DistributionKind:
-        for has_obstacles in (False, True):
-            for start_mode in (StartMode.INNER, StartMode.OUTER):
-                for index in range(index_lo, index_hi + 1):
-                    for action_set in (ActionSet.MU1, ActionSet.MU2):
-                        for limit in CARRY_LIMITS:
-                            for cost in STEP_COSTS:
-                                instances.append(
-                                    InstanceId(
-                                        distribution=kind,
-                                        has_obstacles=has_obstacles,
-                                        start_mode=start_mode,
-                                        grid_index=index,
-                                        action_set=action_set,
-                                        carry_limit=limit,
-                                        step_cost=cost,
-                                    )
-                                )
-    return instances
+    return [
+        InstanceId(*key, action_set, limit, cost)
+        for key in grid_keys(range(index_lo, index_hi + 1))
+        for action_set in ActionSet
+        for limit in CARRY_LIMITS
+        for cost in STEP_COSTS
+    ]
 
 
 class Benchmark:
@@ -119,7 +114,7 @@ class Benchmark:
             raise ValueError("pass exactly one of master_seed or root")
         self.master_seed = master_seed
         self.root = root
-        self._cache: dict[tuple, Grid] = {}
+        self._cache: dict[tuple[int, int, int, int], Grid] = {}
         self._manifest = None
         if root is not None:
             with open(os.path.join(root, "manifest.json"), encoding="utf-8") as handle:
@@ -134,25 +129,20 @@ class Benchmark:
         return cls(root=root)
 
     def grid(self, instance: InstanceId) -> Grid:
-        key = (
-            instance.distribution,
-            instance.has_obstacles,
-            instance.start_mode,
-            instance.grid_index,
-        )
+        identity = instance.grid_key
+        key = grid_parts(identity)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         if self.root is None:
-            seed = grid_seed(self.master_seed, *key)
-            grid = generate_grid(*key, seed)
+            grid = generate_grid(*identity, grid_seed(self.master_seed, *identity))
         else:
             if instance.grid_index >= self._manifest["per_combo"]:
                 raise ValueError(
                     f"benchmark at {self.root!r} holds {self._manifest['per_combo']} "
                     f"grids per combination, index {instance.grid_index} not built"
                 )
-            path = os.path.join(self.root, grid_rel_path(*key) + ".json")
+            path = os.path.join(self.root, grid_rel_path(*identity) + ".json")
             with open(path, encoding="utf-8") as handle:
                 grid = grid_from_dict(json.load(handle))
         self._cache[key] = grid
@@ -224,63 +214,34 @@ class RunRecord:
     energy_at_start: int | None = None
     final_pos: tuple[int, int] | None = None
     trace_path: str | None = None
-    error: str | None = None
     started_at: str | None = None
     finished_at: str | None = None
+    error: str | None = None  # last, and only persisted when set
 
     def key(self) -> tuple[str, str, int]:
         return (self.instance_id, self.agent, self.replicate)
 
     def to_dict(self) -> dict:
-        out = {
-            "instance_id": self.instance_id,
-            "agent": self.agent,
-            "seed": self.seed,
-            "replicate": self.replicate,
-            "status": self.status,
-            "length": self.length,
-            "score": self.score,
-            "energy_at_start": self.energy_at_start,
-            "final_pos": list(self.final_pos) if self.final_pos else None,
-            "trace_path": self.trace_path,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = dict(vars(self))
+        if self.error is None:
+            del out["error"]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        final_pos = data.get("final_pos")
-        return cls(
-            instance_id=data["instance_id"],
-            agent=data["agent"],
-            seed=int(data["seed"]),
-            replicate=int(data["replicate"]),
-            status=data["status"],
-            length=data.get("length"),
-            score=data.get("score"),
-            energy_at_start=data.get("energy_at_start"),
-            final_pos=tuple(final_pos) if final_pos else None,
-            trace_path=data.get("trace_path"),
-            error=data.get("error"),
-            started_at=data.get("started_at"),
-            finished_at=data.get("finished_at"),
-        )
+        record = cls(**data)
+        if record.final_pos is not None:
+            record.final_pos = tuple(record.final_pos)
+        return record
 
 
 def record_seed(suite_seed: int, instance: InstanceId, replicate: int) -> int:
     """Replay seed for one record; carry limit and step cost are left out so
     the same plan is evaluated across those arms."""
-    kinds = list(DistributionKind)
     return derive_seed(
         _AGENT_DOMAIN,
         suite_seed,
-        kinds.index(instance.distribution),
-        1 if instance.has_obstacles else 0,
-        0 if instance.start_mode is StartMode.INNER else 1,
-        instance.grid_index,
+        *grid_parts(instance.grid_key),
         1 if instance.action_set is ActionSet.MU1 else 2,
         replicate,
     )
@@ -356,7 +317,7 @@ def run_one(
             raise ValueError("an LLM agent needs a client (endpoint or cassette)")
         bundle = build_prompt(grid, constraints, model=model)
         try:
-            raw = query_model(bundle, client)
+            raw = client.complete(bundle)
         except LlmClientError as exc:
             record = RunRecord(
                 instance_id=instance.to_str(),
@@ -391,15 +352,37 @@ def run_one(
     return (record, result, plan)
 
 
-def load_records(path: str) -> list[RunRecord]:
+def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
+    """Read a results file.
+
+    A last line that does not parse, as a crash mid-write leaves it, is
+    dropped with a warning on stderr; ``truncate_torn`` also cuts it from
+    the file, so that appended records start on a line of their own. A bad
+    line anywhere else raises ValueError.
+    """
     records = []
     if not os.path.exists(path):
         return records
+    torn = None  # (line number, error) of the last line that did not parse
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            if torn is not None:
+                raise ValueError(f"{path} line {torn[0]}: {torn[1]}")
+            try:
                 records.append(RunRecord.from_dict(json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                torn = (number, exc)
+    if torn is not None:
+        print(
+            f"warning: {path} line {torn[0]}: {torn[1]}; dropped this torn last line",
+            file=sys.stderr,
+        )
+        if truncate_torn:
+            with open(path, "rb") as handle:
+                end = sum(len(line) for _, line in zip(range(torn[0] - 1), handle))
+            os.truncate(path, end)
     return records
 
 
@@ -420,7 +403,15 @@ def run_suite(
     """Run an agent over every instance in the subset, appending one record
     per (instance, replicate) and skipping records already present."""
     instances = enumerate_instances(index_lo, index_hi)
-    existing = {record.key() for record in load_records(out_path)}
+    meta_path = out_path + ".meta.json"
+    if os.path.exists(out_path) and os.path.exists(meta_path):
+        with open(meta_path, encoding="utf-8") as handle:
+            previous = json.load(handle).get("suite_seed", suite_seed)
+        if previous != suite_seed:
+            raise ValueError(
+                f"{out_path} holds records of suite seed {previous}, not {suite_seed}"
+            )
+    existing = {record.key() for record in load_records(out_path, truncate_torn=True)}
     pending = [
         (instance, replicate)
         for instance in instances
@@ -441,7 +432,6 @@ def run_suite(
     }
     if config_echo:
         meta.update(config_echo)
-    meta_path = out_path + ".meta.json"
     with open(meta_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=1, sort_keys=True)
 
@@ -492,58 +482,49 @@ def run_suite(
 
 # --- aggregation ---------------------------------------------------------
 
-CONTROLS: list[tuple[str, str]] = [
-    ("distribution", "Energy Distribution"),
-    ("obstacle", "Obstacle"),
-    ("start", "Starting Position"),
-    ("action-set", "Movement-related Action Set"),
-    ("carry-limit", "Energy Carrying Limit"),
-    ("step-cost", "Energy Cost Per Step"),
-]
+class Control(NamedTuple):
+    """One report control: its table title, the ``InstanceId`` field it
+    reads (None files every record in its one row) and the row label of
+    each field value, in row order."""
 
-_DIST_LABELS = {
-    DistributionKind.RANDOM: "Random",
-    DistributionKind.VERTICAL_SKEW: "Vertically-skewed",
-    DistributionKind.HORIZONTAL_SKEW: "Horizontally-skewed",
-    DistributionKind.CLUSTER: "Cluster",
-    DistributionKind.SPIRAL: "Spiral",
+    title: str
+    field: str | None
+    labels: dict
+
+
+CONTROLS: dict[str, Control] = {
+    "distribution": Control("Energy Distribution", "distribution", {
+        DistributionKind.RANDOM: "Random",
+        DistributionKind.VERTICAL_SKEW: "Vertically-skewed",
+        DistributionKind.HORIZONTAL_SKEW: "Horizontally-skewed",
+        DistributionKind.CLUSTER: "Cluster",
+        DistributionKind.SPIRAL: "Spiral",
+    }),
+    "obstacle": Control("Obstacle", "has_obstacles", {True: "Yes", False: "No"}),
+    "start": Control("Starting Position", "start_mode", {
+        StartMode.INNER: "Inner Position",
+        StartMode.OUTER: "Outer Position",
+    }),
+    "action-set": Control("Movement-related Action Set", "action_set", {
+        ActionSet.MU1: "mu1",
+        ActionSet.MU2: "mu2",
+    }),
+    "carry-limit": Control("Energy Carrying Limit", "carry_limit", {
+        None: "No Limit",
+        2: "2 Units",
+    }),
+    "step-cost": Control("Energy Cost Per Step", "step_cost", {
+        0.0: "0 Unit",
+        0.3: "0.3 Unit",
+    }),
+    "average": Control("", None, {None: "Average"}),
 }
 
 
-def control_value(control: str, instance: InstanceId) -> str:
-    if control == "distribution":
-        return _DIST_LABELS[instance.distribution]
-    if control == "obstacle":
-        return "Yes" if instance.has_obstacles else "No"
-    if control == "start":
-        return "Inner Position" if instance.start_mode is StartMode.INNER else "Outer Position"
-    if control == "action-set":
-        return "mu1" if instance.action_set is ActionSet.MU1 else "mu2"
-    if control == "carry-limit":
-        return "No Limit" if instance.carry_limit is None else f"{instance.carry_limit} Units"
-    if control == "step-cost":
-        return "0.3 Unit" if instance.step_cost else "0 Unit"
-    if control == "average":
-        return "Average"
-    raise ValueError(f"unknown control: {control!r}")
-
-
-def control_values(control: str) -> list[str]:
-    if control == "distribution":
-        return [_DIST_LABELS[kind] for kind in DistributionKind]
-    if control == "obstacle":
-        return ["Yes", "No"]
-    if control == "start":
-        return ["Inner Position", "Outer Position"]
-    if control == "action-set":
-        return ["mu1", "mu2"]
-    if control == "carry-limit":
-        return ["No Limit", "2 Units"]
-    if control == "step-cost":
-        return ["0 Unit", "0.3 Unit"]
-    if control == "average":
-        return ["Average"]
-    raise ValueError(f"unknown control: {control!r}")
+def control_value(control: str, instance: InstanceId) -> str | None:
+    """The row label an instance falls under for one control, or None."""
+    _, field, labels = CONTROLS[control]
+    return labels.get(None if field is None else getattr(instance, field))
 
 
 @dataclass
@@ -592,21 +573,26 @@ def aggregate(records: list[RunRecord], controls: list[str] | None = None) -> li
     Unscored records are excluded from the means and counted per agent.
     """
     if controls is None:
-        controls = [name for name, _ in CONTROLS] + ["average"]
+        controls = list(CONTROLS)
+    distinct = list(dict.fromkeys(controls))
+    for control in distinct:
+        if control not in CONTROLS:
+            raise ValueError(f"unknown control: {control!r}")
+    filed: dict[tuple[str, str, str], list[RunRecord]] = {}
+    for record in records:
+        instance = InstanceId.from_str(record.instance_id)
+        for control in distinct:
+            label = control_value(control, instance)
+            if label is not None:
+                filed.setdefault((control, label, record.agent), []).append(record)
     agents = sorted({record.agent for record in records})
-    parsed = [(record, InstanceId.from_str(record.instance_id)) for record in records]
     rows = []
     for control in controls:
-        for value in control_values(control):
+        for value in CONTROLS[control].labels.values():
             per_agent = {}
             unscored = {}
             for agent in agents:
-                matching = [
-                    record
-                    for record, instance in parsed
-                    if record.agent == agent
-                    and control_value(control, instance) == value
-                ]
+                matching = filed.get((control, value, agent), [])
                 scored = [r for r in matching if r.status == "scored"]
                 unscored[agent] = len(matching) - len(scored)
                 stats = _stats(scored)
@@ -634,11 +620,9 @@ def format_table(rows: list[AggregateRow]) -> str:
     for agent in agents:
         headers.append(f"{agent} Length")
         headers.append(f"{agent} Energy")
-    control_titles = dict(CONTROLS)
-    control_titles["average"] = ""
     table = [headers]
     for row in rows:
-        line = [control_titles.get(row.control, row.control), row.value]
+        line = [CONTROLS[row.control].title, row.value]
         for agent in agents:
             stats = row.per_agent.get(agent)
             if stats is None:
@@ -699,9 +683,4 @@ def write_aggregates_csv(rows: list[AggregateRow], path: str) -> None:
 
 def rescore_trace(trace: dict, grid: Grid) -> float:
     """Replay a persisted trace against its grid and return the score."""
-    constraints = ConstraintSet.from_dict(trace["constraints"])
-    plan = [Action(a) for a in trace["actions"]]
-    result = run_episode(grid, constraints, plan)
-    if [e.value for _, e in result.trace] != trace["effects"]:
-        raise ValueError("trace effects do not replay on this grid")
-    return result.score
+    return replay(trace, grid)[0].score

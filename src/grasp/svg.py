@@ -7,7 +7,7 @@ issued. Output bytes are a pure function of (trace, grid).
 
 from __future__ import annotations
 
-from .env import MOVE_DELTAS, Action, ConstraintSet, EpisodeState
+from .env import MOVE_DELTAS, Action, Effect, replay
 from .generate import GRID_SIZE, Grid
 
 CELL = 40
@@ -21,20 +21,7 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
 
     Raises ValueError when the trace does not replay on the given grid.
     """
-    constraints = ConstraintSet.from_dict(trace["constraints"])
-    actions = [Action(a) for a in trace["actions"]]
-    state = EpisodeState(grid, constraints)
-    positions = [state.agent_pos]
-    effects = []
-    takes = []
-    for action in actions:
-        effect = state.step(action)
-        effects.append(effect.value)
-        if action is Action.TAKE:
-            takes.append(state.agent_pos)
-        positions.append(state.agent_pos)
-    if effects != trace["effects"]:
-        raise ValueError("trace does not replay on this grid")
+    result, positions = replay(trace, grid)
 
     side = GRID_SIZE * CELL + 2 * MARGIN
     parts = [
@@ -52,20 +39,20 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
         for j in range(GRID_SIZE):
             x = MARGIN + j * CELL
             y = MARGIN + i * CELL
-            cell = grid.cell(i, j)
-            fill = "#d9d9d9" if cell.obstacle else "white"
+            fill = "#d9d9d9" if grid.obstacles[i][j] else "white"
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                 f'fill="{fill}" stroke="#888"/>'
             )
-            if cell.symbol != " ":
+            symbol = grid.symbol(i, j)
+            if symbol != " ":
                 parts.append(
                     f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 5}" '
                     f'font-family="monospace" font-size="16" '
-                    f'text-anchor="middle">{cell.symbol}</text>'
+                    f'text-anchor="middle">{symbol}</text>'
                 )
-    for idx, action in enumerate(actions):
-        if action not in MOVE_DELTAS or effects[idx] != "applied":
+    for idx, (action, effect) in enumerate(result.trace):
+        if action not in MOVE_DELTAS or effect is not Effect.APPLIED:
             continue
         (r0, c0), (r1, c1) = positions[idx], positions[idx + 1]
         x0 = MARGIN + c0 * CELL + CELL // 2
@@ -76,6 +63,7 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
             f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#1f6fd6" '
             'stroke-width="2" marker-end="url(#arrow)"/>'
         )
+    takes = [pos for pos, (action, _) in zip(positions, result.trace) if action is Action.TAKE]
     for idx, (row, col) in enumerate(takes):
         x = MARGIN + col * CELL + CELL - 20
         y = MARGIN + row * CELL - 2 + (idx % 3)

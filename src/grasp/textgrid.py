@@ -34,7 +34,7 @@ def render(grid: Grid) -> str:
     lines = [HEADER]
     for i in range(GRID_SIZE):
         lines.append(SEPARATOR)
-        cells = "".join(f" {grid.cell(i, j).symbol} |" for j in range(GRID_SIZE))
+        cells = "".join(f" {grid.symbol(i, j)} |" for j in range(GRID_SIZE))
         lines.append(f"{i:>2}|{cells}")
     lines.append(SEPARATOR)
     return "\n".join(lines) + "\n"

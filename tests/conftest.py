@@ -130,6 +130,21 @@ def reference_greedy_plan(grid: Grid, moves, rng: random.Random) -> list[Action]
     return plan
 
 
+class StubClient:
+    """Test double returning canned text, optionally per-request."""
+
+    def __init__(self, response="[]", responder=None):
+        self.response = response
+        self.responder = responder
+        self.calls = []
+
+    def complete(self, bundle) -> str:
+        self.calls.append(bundle)
+        if self.responder is not None:
+            return self.responder(bundle)
+        return self.response
+
+
 # Response strings for the plan parser and the plans they must produce.
 # Notes are checked separately where a vector expects them.
 A = Action

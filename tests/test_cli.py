@@ -167,3 +167,48 @@ def test_help_documents_flags(capsys):
 def test_missing_results_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", "--results", str(tmp_path / "none.jsonl"))
     assert code == 1
+
+
+def test_torn_last_line_is_dropped_then_rescored(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    results = str(path)
+    args = ("run", "--agent", "random-walk", "--out", results, "--subset", "0..0",
+            "--seed", "0", "--no-traces", "--json")
+    run_cli(capsys, *args)
+    whole = path.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    path.write_bytes(whole[:-40])  # a crash mid-write tore the last record
+
+    code, _, err = run_cli(capsys, "report", "--results", results)
+    assert code == 0
+    assert "torn last line" in err
+
+    code, stdout, err = run_cli(capsys, *args)
+    assert code == 0
+    assert "torn last line" in err
+    summary = json.loads(stdout)
+    assert summary["scored"] == 1
+    assert summary["skipped_existing"] == 159
+    resumed = path.read_bytes().splitlines(keepends=True)
+    assert resumed[:-1] == lines[:-1]
+    dropped, rescored = (json.loads(line) for line in (lines[-1], resumed[-1]))
+    for record in (dropped, rescored):
+        del record["started_at"], record["finished_at"]
+    assert rescored == dropped
+    assert run_cli(capsys, "report", "--results", results)[2] == ""
+
+
+def test_resume_under_another_seed_is_refused(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    results = str(path)
+    args = ("run", "--agent", "random-walk", "--out", results, "--subset", "0..0")
+    assert run_cli(capsys, *args, "--seed", "0")[0] == 0
+    meta = tmp_path / "results.jsonl.meta.json"
+    before, meta_before = path.read_bytes(), meta.read_bytes()
+    code, stdout, err = run_cli(capsys, *args, "--seed", "7")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "suite seed 0, not 7" in err
+    assert path.read_bytes() == before
+    assert meta.read_bytes() == meta_before
+    assert run_cli(capsys, *args, "--seed", "0")[0] == 0

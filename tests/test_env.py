@@ -14,6 +14,7 @@ from grasp.env import (
     Effect,
     EpisodeState,
     complement,
+    replay,
     run_episode,
 )
 
@@ -241,3 +242,31 @@ def test_conservation_includes_step_cost_as_bookkeeping():
         state.step(action)
     assert state.total_energy() == initial
     assert state.result().score_tenths == 10 - 12
+
+
+def _trace(constraints, result):
+    return {
+        "constraints": constraints.to_dict(),
+        "actions": [action.value for action, _ in result.trace],
+        "effects": [effect.value for _, effect in result.trace],
+    }
+
+
+def test_replay_matches_the_episode_and_tracks_positions():
+    grid = make_grid(start=(5, 5), energy=[(5, 6)], obstacles=[(4, 5)])
+    plan = [Action.UP, Action.RIGHT, Action.TAKE, Action.LEFT, Action.DROP]
+    result = run_episode(grid, COSTLY, plan)
+    replayed, positions = replay(_trace(COSTLY, result), grid)
+    assert replayed == result
+    assert positions == [(5, 5), (5, 5), (5, 6), (5, 6), (5, 5), (5, 5)]
+
+
+def test_replay_rejects_a_trace_from_another_grid():
+    grid = make_grid(start=(5, 5), energy=[(5, 6)])
+    trace = _trace(FREE, run_episode(grid, FREE, [Action.RIGHT, Action.TAKE]))
+    with pytest.raises(ValueError, match="does not replay"):
+        replay(trace, make_grid(start=(5, 5), obstacles=[(5, 6)]))
+    trace["actions"] = trace["actions"] * 11  # longer than the step budget
+    with pytest.raises(ValueError, match="does not replay"):
+        replay(trace, grid)
+

@@ -11,6 +11,8 @@ from grasp.generate import (
     build_benchmark,
     generate_grid,
     grid_from_dict,
+    grid_id,
+    grid_parts,
     grid_seed,
     grid_to_dict,
     inner_cells,
@@ -184,19 +186,23 @@ def test_start_cell_cleared():
 
 
 def test_cell_symbol_precedence():
-    from grasp.generate import Cell
-
-    assert Cell(energy=1, obstacle=True, is_start=False).symbol == "O"
-    assert Cell(energy=1, obstacle=True, is_start=True).symbol == "A"
-    assert Cell(energy=2, obstacle=False, is_start=False).symbol == "E"
-    assert Cell(energy=0, obstacle=False, is_start=False).symbol == " "
+    # start over obstacle over energy over blank, whatever the cell holds
+    grid = make_grid(
+        start=(0, 0),
+        energy=[(0, 0), (1, 1), (2, 2, 2)],
+        obstacles=[(0, 0), (1, 1)],
+    )
+    assert grid.symbol(1, 1) == "O"
+    assert grid.symbol(0, 0) == "A"
+    assert grid.symbol(2, 2) == "E"
+    assert grid.symbol(3, 3) == " "
 
 
 def test_structural_invariants():
     for kind in DistributionKind:
         for seed in (1, 2):
             grid = generate_grid(kind, True, StartMode.INNER, 0, seed)
-            symbols = [grid.cell(i, j).symbol for i in range(GRID_SIZE) for j in range(GRID_SIZE)]
+            symbols = [grid.symbol(i, j) for i in range(GRID_SIZE) for j in range(GRID_SIZE)]
             assert len(symbols) == 121
             assert symbols.count("A") == 1
             for i in range(GRID_SIZE):
@@ -238,6 +244,16 @@ def test_grid_seed_stable_across_order():
     assert direct == again
     assert direct != grid_seed(5, DistributionKind.SPIRAL, True, StartMode.OUTER, 43)
     assert direct != grid_seed(6, DistributionKind.SPIRAL, True, StartMode.OUTER, 42)
+
+
+def test_grid_identity_encoding():
+    key = (DistributionKind.CLUSTER, True, StartMode.OUTER, 42)
+    assert grid_parts(key) == (3, 1, 1, 42)
+    assert grid_parts((DistributionKind.RANDOM, False, StartMode.INNER, 0)) == (0, 0, 0, 0)
+    assert grid_id(key) == "dist=cluster/obs=1/start=out/g=42"
+    assert grid_seed(7, *key) == derive_seed(1, 7, 3, 1, 1, 42)
+    grid = generate_grid(*key, grid_seed(7, *key))
+    assert grid.spec.grid_id == grid_id(key)
 
 
 def test_derive_seed_order_sensitive():

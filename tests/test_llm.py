@@ -1,10 +1,14 @@
+import http.client
+import io
 import json
 import random
+import socket
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 
-from conftest import PARSER_VECTORS, fixture_text, make_grid
+from conftest import PARSER_VECTORS, StubClient, fixture_text, make_grid
 from grasp.env import ActionSet, ConstraintSet, run_episode
 from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.llm import (
@@ -14,10 +18,8 @@ from grasp.llm import (
     LlmClientError,
     PromptBundle,
     RecordingClient,
-    StubClient,
     build_prompt,
     parse_plan,
-    query_model,
     request_key,
     write_cassette,
 )
@@ -119,25 +121,37 @@ def test_parse_plan_never_raises_on_fuzz():
         assert isinstance(plan.actions, list)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, content="[UP]"):
-        self.status_code = status_code
-        self.text = json.dumps({"ok": True})
-        self._content = content
+class FakeResponse(io.BytesIO):
+    """A 200 response whose body is a chat completion, or raw bytes."""
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+    def __init__(self, content="[UP]", raw=None):
+        payload = {"choices": [{"message": {"content": content}}]}
+        super().__init__(raw if raw is not None else json.dumps(payload).encode())
 
 
-class FakeSession:
+def http_error(status, body=b'{"error": "nope"}'):
+    return urllib.error.HTTPError(
+        "http://x/v1", status, "status", {}, io.BytesIO(body)
+    )
+
+
+class FakeUrlopen:
     """Scripted transport: each entry is an exception or a FakeResponse."""
 
     def __init__(self, script):
         self.script = list(script)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
+    def __call__(self, request, timeout=None):
+        self.calls.append(
+            {
+                "url": request.full_url,
+                "method": request.get_method(),
+                "json": json.loads(request.data),
+                "headers": dict(request.header_items()),
+                "timeout": timeout,
+            }
+        )
         step = self.script.pop(0)
         if isinstance(step, Exception):
             raise step
@@ -155,67 +169,84 @@ def credential(monkeypatch):
 
 
 def test_http_client_success(bundle, credential):
-    session = FakeSession([FakeResponse(content="[UP, TAKE]")])
-    client = HttpChatClient(ClientConfig(), session=session, sleep=lambda s: None)
+    urlopen = FakeUrlopen([FakeResponse(content="[UP, TAKE]")])
+    client = HttpChatClient(ClientConfig(), urlopen=urlopen, sleep=lambda s: None)
     assert client.complete(bundle) == "[UP, TAKE]"
-    sent = session.calls[0]
+    sent = urlopen.calls[0]
+    assert sent["url"] == ClientConfig().endpoint
+    assert sent["method"] == "POST"
+    assert sent["timeout"] == ClientConfig().timeout
     assert sent["json"]["model"] == "test-model"
     assert sent["json"]["temperature"] == 0
     assert sent["headers"]["Authorization"] == "Bearer sk-test"
+    assert sent["headers"]["Content-type"] == "application/json"
+
+
+def test_http_client_defaults_to_urllib_urlopen(bundle, credential, monkeypatch):
+    urlopen = FakeUrlopen([FakeResponse(content="[TAKE]")])
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    client = HttpChatClient(ClientConfig(), sleep=lambda s: None)
+    assert client.complete(bundle) == "[TAKE]"
+    assert len(urlopen.calls) == 1
 
 
 def test_http_client_retries_transient_then_succeeds(bundle, credential):
     sleeps = []
-    session = FakeSession(
+    urlopen = FakeUrlopen(
         [
-            requests.ConnectionError("boom"),
-            FakeResponse(status_code=429),
+            urllib.error.URLError("boom"),
+            http_error(429),
+            socket.timeout("timed out"),
+            http_error(503),
+            http.client.IncompleteRead(b"{"),
             FakeResponse(content="[DOWN]"),
         ]
     )
     client = HttpChatClient(
-        ClientConfig(max_retries=3, backoff_base=1.0),
-        session=session,
+        ClientConfig(max_retries=6, backoff_base=1.0),
+        urlopen=urlopen,
         sleep=sleeps.append,
     )
     assert client.complete(bundle) == "[DOWN]"
-    assert len(session.calls) == 3
-    assert sleeps == [1.0, 2.0]  # exponential backoff
+    assert len(urlopen.calls) == 6
+    assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]  # exponential backoff
 
 
 def test_http_client_fails_after_max_retries(bundle, credential):
-    session = FakeSession([requests.ConnectionError("x")] * 4)
+    urlopen = FakeUrlopen([urllib.error.URLError("x")] * 2 + [http_error(500)] * 2)
     client = HttpChatClient(
-        ClientConfig(max_retries=3), session=session, sleep=lambda s: None
+        ClientConfig(max_retries=3), urlopen=urlopen, sleep=lambda s: None
     )
-    with pytest.raises(LlmClientError, match="after 3 attempts"):
+    with pytest.raises(LlmClientError, match="after 3 attempts: retryable status 500"):
         client.complete(bundle)
-    assert len(session.calls) == 3
+    assert len(urlopen.calls) == 3
 
 
 def test_http_client_auth_error_is_immediate(bundle, credential):
-    session = FakeSession([FakeResponse(status_code=401)])
-    client = HttpChatClient(ClientConfig(), session=session, sleep=lambda s: None)
-    with pytest.raises(LlmClientError, match="status 401"):
+    urlopen = FakeUrlopen([http_error(401, b"bad key " + b"x" * 300)])
+    client = HttpChatClient(ClientConfig(), urlopen=urlopen, sleep=lambda s: None)
+    with pytest.raises(LlmClientError, match="status 401: bad key x") as info:
         client.complete(bundle)
-    assert len(session.calls) == 1
+    assert str(info.value).endswith(": bad key " + "x" * 192)  # first 200 characters
+    assert len(urlopen.calls) == 1
 
 
 def test_http_client_requires_credential(bundle, monkeypatch):
     monkeypatch.delenv("GRASP_API_KEY", raising=False)
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
-    client = HttpChatClient(ClientConfig(), session=FakeSession([]))
+    client = HttpChatClient(ClientConfig(), urlopen=FakeUrlopen([]))
     with pytest.raises(LlmClientError, match="credential"):
         client.complete(bundle)
 
 
 def test_http_client_malformed_payload(bundle, credential):
-    bad = FakeResponse()
-    bad.json = lambda: {"unexpected": []}
-    session = FakeSession([bad])
-    client = HttpChatClient(ClientConfig(), session=session, sleep=lambda s: None)
+    urlopen = FakeUrlopen([FakeResponse(raw=b'{"unexpected": []}'), FakeResponse(raw=b"<html>")])
+    client = HttpChatClient(ClientConfig(), urlopen=urlopen, sleep=lambda s: None)
     with pytest.raises(LlmClientError, match="malformed"):
         client.complete(bundle)
+    with pytest.raises(LlmClientError, match="malformed"):
+        client.complete(bundle)
+    assert len(urlopen.calls) == 2
 
 
 def test_client_config_from_file(tmp_path):
@@ -256,7 +287,7 @@ def test_stub_client_end_to_end_without_network():
     constraints = ConstraintSet()
     bundle = build_prompt(grid, constraints, model="stub")
     client = StubClient(response="Here you go: [RIGHT, TAKE, LEFT, DROP]")
-    plan = parse_plan(query_model(bundle, client))
+    plan = parse_plan(client.complete(bundle))
     result = run_episode(grid, constraints, plan.actions)
     assert result.score == 1.0
     assert result.length == 4

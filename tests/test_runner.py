@@ -22,6 +22,7 @@ from grasp.runner import (
     write_aggregates_csv,
     write_benchmark,
 )
+from grasp.rng import derive_seed
 from grasp.textgrid import render
 
 
@@ -64,6 +65,7 @@ def test_record_seed_shared_across_limit_and_cost_arms():
     from dataclasses import replace
 
     seed = record_seed(42, base, 0)
+    assert seed == derive_seed(3, 42, 3, 1, 0, 7, 2, 0)
     assert record_seed(42, replace(base, step_cost=0.3), 0) == seed
     assert record_seed(42, replace(base, carry_limit=2), 0) == seed
     assert record_seed(42, replace(base, action_set=ActionSet.MU1), 0) != seed
@@ -157,6 +159,50 @@ def test_run_suite_traces_rescore(tmp_path):
     assert checked > 5
 
 
+def test_rescore_trace_rejects_another_grid(tmp_path):
+    out = str(tmp_path / "results.jsonl")
+    bench = Benchmark.from_seed(5)
+    run_suite(bench, "greedy", out, index_lo=0, index_hi=0, suite_seed=5)
+    record = next(r for r in load_records(out) if r.score > 0)
+    trace = json.load(open(os.path.join(str(tmp_path), record.trace_path)))
+    grid = bench.grid(InstanceId.from_str(record.instance_id))
+    empty = type(grid)(
+        energy=[[0] * 11 for _ in range(11)], obstacles=grid.obstacles, start=grid.start
+    )
+    with pytest.raises(ValueError, match="does not replay"):
+        rescore_trace(trace, empty)
+
+
+def test_record_dict_round_trip_and_field_order():
+    instance = enumerate_instances(0, 0)[0]
+    record = _record(instance)
+    data = record.to_dict()
+    assert list(data) == [
+        "instance_id", "agent", "seed", "replicate", "status", "length", "score",
+        "energy_at_start", "final_pos", "trace_path", "started_at", "finished_at",
+    ]
+    assert RunRecord.from_dict(json.loads(json.dumps(data))) == record
+    failed = RunRecord(instance_id="x", agent="a", seed=1, replicate=0,
+                       status="unscored", error="boom")
+    data = failed.to_dict()
+    assert list(data)[-1] == "error"
+    assert RunRecord.from_dict(json.loads(json.dumps(data))) == failed
+
+
+def test_load_records_torn_last_line(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    lines = [json.dumps(_record(i).to_dict()) + "\n" for i in enumerate_instances(0, 0)[:3]]
+    path.write_text("".join(lines) + lines[0][:50])
+    assert len(load_records(str(path))) == 3
+    assert "line 4" in capsys.readouterr().err
+    assert path.read_text().endswith(lines[0][:50])
+    assert len(load_records(str(path), truncate_torn=True)) == 3
+    assert path.read_text() == "".join(lines)
+    path.write_text(lines[0] + lines[1][:50] + "\n" + lines[2])
+    with pytest.raises(ValueError, match="line 2"):
+        load_records(str(path))
+
+
 def test_run_suite_workers_same_scores(tmp_path):
     serial = str(tmp_path / "serial.jsonl")
     threaded = str(tmp_path / "threaded.jsonl")
@@ -241,6 +287,30 @@ def test_aggregate_single_record_everywhere():
         assert stats.n == 1
         assert stats.mean_length == 19.0
         assert stats.mean_energy == 1.0
+
+
+def test_control_rows_in_table_order():
+    rows = aggregate([_record(enumerate_instances(0, 0)[0])])
+    assert [(row.control, row.value) for row in rows] == [
+        ("distribution", "Random"),
+        ("distribution", "Vertically-skewed"),
+        ("distribution", "Horizontally-skewed"),
+        ("distribution", "Cluster"),
+        ("distribution", "Spiral"),
+        ("obstacle", "Yes"),
+        ("obstacle", "No"),
+        ("start", "Inner Position"),
+        ("start", "Outer Position"),
+        ("action-set", "mu1"),
+        ("action-set", "mu2"),
+        ("carry-limit", "No Limit"),
+        ("carry-limit", "2 Units"),
+        ("step-cost", "0 Unit"),
+        ("step-cost", "0.3 Unit"),
+        ("average", "Average"),
+    ]
+    with pytest.raises(ValueError, match="unknown control"):
+        aggregate([], controls=["colour"])
 
 
 def test_aggregate_is_order_invariant():
