@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--subset", type=_parse_subset, default=(0, 99),
                      metavar="A..B", help="grid index range, default 0..99")
     run.add_argument("--replicates", type=int, default=1)
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--resample-invalid", action="store_true",
                      help="random walk redraws moves that would not apply")
     run.add_argument("--llm-config", help="JSON file with client settings")
@@ -121,11 +120,10 @@ def cmd_run(args) -> int:
         bench = runner.Benchmark.from_seed(args.seed)
     kind, _ = runner.parse_agent(args.agent)
     client = None
-    workers = args.workers
+    concurrency = 1
     if kind == "llm":
         client, config = _make_client(args)
-        if workers == 1 and config.concurrency > 1:
-            workers = config.concurrency
+        concurrency = config.concurrency
     lo, hi = args.subset
     summary = runner.run_suite(
         bench,
@@ -135,7 +133,7 @@ def cmd_run(args) -> int:
         index_hi=hi,
         replicates=args.replicates,
         suite_seed=args.seed,
-        workers=workers,
+        concurrency=concurrency,
         resample_invalid=args.resample_invalid,
         client=client,
         write_traces=not args.no_traces,

@@ -72,6 +72,12 @@ class ActionSet(str, Enum):
     def moves(self) -> tuple[Action, ...]:
         return MU1 if self is ActionSet.MU1 else MU2
 
+    @property
+    def number(self) -> int:
+        """The paper's mu, 1 or 2: the digit of the value, as instance ids
+        and record seeds write it (``ActionSet(f"mu{n}")`` reads it back)."""
+        return int(self.value[2:])
+
 
 class Effect(str, Enum):
     APPLIED = "applied"

@@ -162,6 +162,8 @@ class ClientConfig:
         for key, value in data.items():
             if not hasattr(config, key):
                 raise ValueError(f"unknown client config key: {key!r}")
+            if key == "concurrency" and (type(value) is not int or value < 1):
+                raise ValueError(f"client config key 'concurrency' must be an int >= 1: {value!r}")
             setattr(config, key, value)
         return config
 

@@ -9,14 +9,15 @@ limit or step cost, so runs are paired across those control arms.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,7 +67,7 @@ class InstanceId:
     def to_str(self) -> str:
         return (
             grid_id(self.grid_key)
-            + f"/mu={1 if self.action_set is ActionSet.MU1 else 2}"
+            + f"/mu={self.action_set.number}"
             f"/lim={self.carry_limit or 0}"
             f"/cost={'0.3' if self.step_cost else '0'}"
         )
@@ -79,7 +80,7 @@ class InstanceId:
             has_obstacles=fields["obs"] == "1",
             start_mode=StartMode.INNER if fields["start"] == "in" else StartMode.OUTER,
             grid_index=int(fields["g"]),
-            action_set=ActionSet.MU1 if fields["mu"] == "1" else ActionSet.MU2,
+            action_set=ActionSet(f"mu{fields['mu']}"),
             carry_limit=None if fields["lim"] == "0" else int(fields["lim"]),
             step_cost=float(fields["cost"]),
         )
@@ -107,18 +108,20 @@ def enumerate_instances(index_lo: int = 0, index_hi: int = 99) -> list[InstanceI
 
 class Benchmark:
     """Grid provider, either generated on demand from a master seed or
-    loaded lazily from a directory written by ``write_benchmark``."""
+    loaded lazily from a directory written by ``write_benchmark``, whose
+    manifest then supplies ``master_seed``."""
 
     def __init__(self, master_seed: int | None = None, root: str | None = None):
         if (master_seed is None) == (root is None):
             raise ValueError("pass exactly one of master_seed or root")
-        self.master_seed = master_seed
         self.root = root
         self._cache: dict[tuple[int, int, int, int], Grid] = {}
         self._manifest = None
         if root is not None:
             with open(os.path.join(root, "manifest.json"), encoding="utf-8") as handle:
                 self._manifest = json.load(handle)
+            master_seed = self._manifest["master_seed"]
+        self.master_seed = master_seed
 
     @classmethod
     def from_seed(cls, master_seed: int) -> "Benchmark":
@@ -242,7 +245,7 @@ def record_seed(suite_seed: int, instance: InstanceId, replicate: int) -> int:
         _AGENT_DOMAIN,
         suite_seed,
         *grid_parts(instance.grid_key),
-        1 if instance.action_set is ActionSet.MU1 else 2,
+        instance.action_set.number,
         replicate,
     )
 
@@ -394,23 +397,39 @@ def run_suite(
     index_hi: int = 99,
     replicates: int = 1,
     suite_seed: int = 0,
-    workers: int = 1,
+    concurrency: int = 1,
     resample_invalid: bool = False,
     client=None,
     write_traces: bool = True,
     config_echo: dict | None = None,
 ) -> dict:
     """Run an agent over every instance in the subset, appending one record
-    per (instance, replicate) and skipping records already present."""
+    per (instance, replicate) and skipping records already present.
+
+    ``concurrency`` is the number of requests in flight to the LLM client,
+    one grid's instances per thread; baselines are CPU work and run
+    serially. A results file is resumed only under the suite seed, grid
+    master seed and ``resample_invalid`` its meta file names.
+    """
+    if parse_agent(agent_spec)[0] != "llm" and concurrency > 1:
+        raise ValueError(f"{agent_spec} runs serially; concurrency is for LLM clients")
     instances = enumerate_instances(index_lo, index_hi)
     meta_path = out_path + ".meta.json"
+    identity = {
+        "suite_seed": suite_seed,
+        "master_seed": benchmark.master_seed,
+        "resample_invalid": resample_invalid,
+    }
     if os.path.exists(out_path) and os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as handle:
-            previous = json.load(handle).get("suite_seed", suite_seed)
-        if previous != suite_seed:
-            raise ValueError(
-                f"{out_path} holds records of suite seed {previous}, not {suite_seed}"
-            )
+            previous = json.load(handle)
+        clashes = [
+            f"{key.replace('_', ' ')} {previous[key]}, not {value}"
+            for key, value in identity.items()
+            if previous.get(key, value) != value
+        ]
+        if clashes:
+            raise ValueError(f"{out_path} holds records of {'; '.join(clashes)}")
     existing = {record.key() for record in load_records(out_path, truncate_torn=True)}
     pending = [
         (instance, replicate)
@@ -422,12 +441,11 @@ def run_suite(
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
 
     meta = {
+        **identity,
         "agent": agent_spec,
         "subset": [index_lo, index_hi],
         "replicates": replicates,
-        "suite_seed": suite_seed,
-        "workers": workers,
-        "resample_invalid": resample_invalid,
+        "concurrency": concurrency,
         "write_traces": write_traces,
     }
     if config_echo:
@@ -435,40 +453,36 @@ def run_suite(
     with open(meta_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=1, sort_keys=True)
 
-    def work(item):
-        instance, replicate = item
-        return instance, run_one(
-            benchmark,
-            agent_spec,
-            instance,
-            replicate,
-            suite_seed,
-            resample_invalid=resample_invalid,
-            client=client,
-        )
+    def work(chunk):
+        return [
+            (instance, run_one(benchmark, agent_spec, instance, replicate, suite_seed,
+                               resample_invalid=resample_invalid, client=client))
+            for instance, replicate in chunk
+        ]
 
+    # pending is grid-major, so one chunk per grid has one thread fill that
+    # grid's cache entry, and the flattened chunks keep the serial order.
+    chunks = [
+        list(chunk) for _, chunk in itertools.groupby(pending, lambda item: item[0].grid_key)
+    ]
+    pool = None
+    if concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it
+
+        pool = ThreadPoolExecutor(concurrency)
     scored = unscored = 0
-    with open(out_path, "a", encoding="utf-8") as out:
-        if workers > 1:
-            executor = ThreadPoolExecutor(max_workers=workers)
-            outcomes = executor.map(work, pending)
-        else:
-            executor = None
-            outcomes = map(work, pending)
-        try:
-            for instance, (record, result, plan) in outcomes:
-                if record.status == "scored":
-                    scored += 1
-                    if write_traces:
-                        record.trace_path = os.path.join(
-                            "traces", write_trace(traces_dir, record, instance, result, plan)
-                        )
-                else:
-                    unscored += 1
-                out.write(json.dumps(record.to_dict()) + "\n")
-        finally:
-            if executor is not None:
-                executor.shutdown()
+    with open(out_path, "a", encoding="utf-8") as out, pool or contextlib.nullcontext():
+        outcomes = (pool.map if pool else map)(work, chunks)
+        for instance, (record, result, plan) in itertools.chain.from_iterable(outcomes):
+            if record.status == "scored":
+                scored += 1
+                if write_traces:
+                    record.trace_path = os.path.join(
+                        "traces", write_trace(traces_dir, record, instance, result, plan)
+                    )
+            else:
+                unscored += 1
+            out.write(json.dumps(record.to_dict()) + "\n")
     return {
         "instances": len(instances),
         "requested": len(instances) * replicates,

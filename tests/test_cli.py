@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -120,7 +122,7 @@ def test_run_llm_concurrency_from_config(tmp_path, capsys):
     )
     assert code == 0
     meta = json.load(open(results + ".meta.json"))
-    assert meta["workers"] == 4
+    assert meta["concurrency"] == 4
 
 
 def test_trace_command_writes_svg(tmp_path, capsys):
@@ -159,9 +161,10 @@ def test_help_documents_flags(capsys):
         main(["run", "--help"])
     assert exit_info.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--seed", "--subset", "--replicates", "--workers",
+    for flag in ("--seed", "--subset", "--replicates",
                  "--resample-invalid", "--cassette", "--json"):
         assert flag in text
+    assert "--workers" not in text
 
 
 def test_missing_results_file(capsys, tmp_path):
@@ -212,3 +215,52 @@ def test_resume_under_another_seed_is_refused(tmp_path, capsys):
     assert path.read_bytes() == before
     assert meta.read_bytes() == meta_before
     assert run_cli(capsys, *args, "--seed", "0")[0] == 0
+
+
+def test_resume_against_other_grids_is_refused(tmp_path, capsys):
+    path = tmp_path / "results.jsonl"
+    results = str(path)
+    args = ("run", "--agent", "greedy", "--out", results, "--subset", "0..0", "--json")
+    assert run_cli(capsys, *args, "--seed", "0")[0] == 0
+    meta = tmp_path / "results.jsonl.meta.json"
+    before, meta_before = path.read_bytes(), meta.read_bytes()
+    for seed in ("0", "5"):
+        run_cli(capsys, "gen", "--out", str(tmp_path / f"gen{seed}"), "--seed", seed,
+                "--per-combo", "1")
+
+    code, stdout, err = run_cli(capsys, *args, "--seed", "0",
+                                "--benchmark", str(tmp_path / "gen5"))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "master seed 0, not 5" in err
+    code, _, err = run_cli(capsys, *args, "--seed", "0", "--resample-invalid")
+    assert code == 1
+    assert "resample invalid False, not True" in err
+    assert path.read_bytes() == before
+    assert meta.read_bytes() == meta_before
+
+    code, stdout, _ = run_cli(capsys, *args, "--seed", "0",
+                              "--benchmark", str(tmp_path / "gen0"))
+    assert code == 0
+    assert json.loads(stdout)["skipped_existing"] == 160
+    assert path.read_bytes() == before
+
+
+def test_run_rejects_bad_concurrency(tmp_path, capsys):
+    config = tmp_path / "client.json"
+    config.write_text(json.dumps({"concurrency": "2"}))
+    code, _, err = run_cli(
+        capsys, "run", "--agent", "llm:m", "--out", str(tmp_path / "llm.jsonl"),
+        "--subset", "0..0", "--llm-config", str(config),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "'concurrency'" in err
+
+
+def test_import_loads_no_thread_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("grasp").__file__)))
+    code = ("import sys, grasp; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"

@@ -259,6 +259,12 @@ def test_client_config_from_file(tmp_path):
     path.write_text(json.dumps({"nope": 1}))
     with pytest.raises(ValueError, match="unknown client config key"):
         ClientConfig.from_file(str(path))
+    for bad in ("2", 0, True, 1.0):
+        path.write_text(json.dumps({"concurrency": bad}))
+        with pytest.raises(ValueError, match="'concurrency'"):
+            ClientConfig.from_file(str(path))
+    path.write_text(json.dumps({"concurrency": 3}))
+    assert ClientConfig.from_file(str(path)).concurrency == 3
 
 
 def test_cassette_replay_and_miss(tmp_path, bundle):

@@ -1,11 +1,12 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
 from grasp.env import ActionSet
-from grasp.generate import DistributionKind, StartMode
+from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.llm import build_prompt, write_cassette
 from grasp.runner import (
     Benchmark,
@@ -203,18 +204,83 @@ def test_load_records_torn_last_line(tmp_path, capsys):
         load_records(str(path))
 
 
-def test_run_suite_workers_same_scores(tmp_path):
-    serial = str(tmp_path / "serial.jsonl")
-    threaded = str(tmp_path / "threaded.jsonl")
-    bench = Benchmark.from_seed(2)
-    run_suite(bench, "random-walk", serial, index_lo=0, index_hi=0,
-              suite_seed=3, write_traces=False)
-    run_suite(bench, "random-walk", threaded, index_lo=0, index_hi=0,
-              suite_seed=3, workers=4, write_traces=False)
-    key = lambda r: (r.instance_id, r.replicate)
-    first = {key(r): r.score for r in load_records(serial)}
-    second = {key(r): r.score for r in load_records(threaded)}
-    assert first == second
+def _cassette_for(tmp_path, index_hi=0):
+    """A cassette answering every instance of grids 0..index_hi at seed 0."""
+    bench = Benchmark.from_seed(0)
+    replies = ["[RIGHT, TAKE, LEFT, DROP]", "[TAKE, DROP]", "no list", "[UP, FLY, DOWN]"]
+    entries = [
+        (build_prompt(bench.grid(instance), instance.constraints(), model="m").request_body(),
+         replies[number % len(replies)])
+        for number, instance in enumerate(enumerate_instances(0, index_hi))
+    ]
+    path = str(tmp_path / "cassette.json")
+    write_cassette(path, entries)
+    return path
+
+
+def test_run_suite_concurrency_same_bytes(tmp_path):
+    from grasp.llm import CassetteClient
+
+    cassette = _cassette_for(tmp_path, index_hi=1)
+    outputs = []
+    for concurrency in (1, 4):
+        out_dir = tmp_path / f"c{concurrency}"
+        out = str(out_dir / "llm.jsonl")
+        run_suite(Benchmark.from_seed(0), "llm:m", out, index_lo=0, index_hi=1,
+                  concurrency=concurrency, client=CassetteClient(cassette))
+        records = []
+        for line in open(out):
+            record = json.loads(line)
+            del record["started_at"], record["finished_at"]
+            records.append(record)
+        traces = {name: (out_dir / "traces" / name).read_bytes()
+                  for name in sorted(os.listdir(out_dir / "traces"))}
+        outputs.append((records, traces))
+    assert len(outputs[0][0]) == 320
+    assert len(outputs[0][1]) == 320
+    assert outputs[0] == outputs[1]
+
+
+def test_run_suite_baseline_refuses_concurrency(tmp_path):
+    out = tmp_path / "rw.jsonl"
+    with pytest.raises(ValueError, match="serially"):
+        run_suite(Benchmark.from_seed(0), "random-walk", str(out), index_lo=0, index_hi=0,
+                  concurrency=2)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_suite_pool_generates_each_grid_once(tmp_path, monkeypatch):
+    from grasp import runner
+    from grasp.llm import CassetteClient
+
+    cassette = _cassette_for(tmp_path)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:4])
+        return generate_grid(*args)
+
+    monkeypatch.setattr(runner, "generate_grid", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so an unlocked fill would race
+    try:
+        run_suite(Benchmark.from_seed(0), "llm:m", str(tmp_path / "llm.jsonl"),
+                  index_lo=0, index_hi=0, concurrency=4, client=CassetteClient(cassette))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 20
+    assert len(set(calls)) == 20
+
+
+def test_resume_identity_from_older_meta_matches(tmp_path):
+    out = str(tmp_path / "results.jsonl")
+    run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0)
+    meta_path = tmp_path / "results.jsonl.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["master_seed"]  # meta files written before it was recorded lack it
+    meta_path.write_text(json.dumps(meta))
+    summary = run_suite(Benchmark.from_seed(7), "greedy", out, index_lo=0, index_hi=0)
+    assert summary["skipped_existing"] == 160
 
 
 def test_run_suite_llm_cassette_and_unscored(tmp_path):
