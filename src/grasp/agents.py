@@ -11,20 +11,18 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from .env import (
+    MAX_STEPS,
     MOVE_DELTAS,
     Action,
     ActionSet,
     ConstraintSet,
     EpisodeResult,
-    EpisodeState,
     complement,
     run_episode,
 )
 from .generate import Grid
-from .rng import generator
+from .rng import Generator, generator
 
 RANDOM_WALK = "random-walk"
 GREEDY = "greedy"
@@ -33,7 +31,7 @@ WALK_TRIPS = 6  # move-and-take repetitions; 6*2 + 6 + 1 = 19 actions total
 
 def random_walk_plan(
     action_set: ActionSet,
-    rng: np.random.Generator,
+    rng: Generator,
     grid: Grid | None = None,
     resample_invalid: bool = False,
 ) -> list[Action]:
@@ -84,7 +82,7 @@ def greedy_plan_step(
     agent_pos: tuple[int, int],
     remaining: int,
     action_set: ActionSet,
-    rng: np.random.Generator,
+    rng: Generator,
     past_actions: list[Action],
 ) -> list[Action] | None:
     """One greedy decision: a move path to the nearest believed energy cell,
@@ -134,30 +132,53 @@ def greedy_plan_step(
     return path
 
 
-def greedy_run(
-    grid: Grid, constraints: ConstraintSet, rng: np.random.Generator
-) -> EpisodeResult:
-    """Run the greedy agent to completion: fetch trips while the budget
-    allows, then retrace every movement and DROP at the start cell."""
-    state = EpisodeState(grid, constraints)
+def greedy_plan(grid: Grid, action_set: ActionSet, rng: Generator) -> list[Action]:
+    """The greedy agent's whole plan: fetch trips while the step budget
+    allows, then retrace every movement and DROP at the start cell.
+
+    Planned paths only cross free in-bounds cells, so every move applies and
+    the agent's position and remaining budget follow from the plan alone."""
     belief = grid.copy_energy()
+    pos = grid.start
+    plan: list[Action] = []
     past: list[Action] = []
     while True:
         path = greedy_plan_step(
-            grid, belief, state.agent_pos, state.remaining,
-            constraints.action_set, rng, past,
+            grid, belief, pos, MAX_STEPS - len(plan), action_set, rng, past
         )
         if path is None:
-            for action in reversed(past):
-                state.step(complement(action))
-            state.step(Action.DROP)
-            return state.result()
+            plan.extend(complement(action) for action in reversed(past))
+            plan.append(Action.DROP)
+            return plan
         for action in path:
-            state.step(action)
-            past.append(action)
-        state.step(Action.TAKE)
-        row, col = state.agent_pos
-        belief[row][col] -= 1
+            dr, dc = MOVE_DELTAS[action]
+            pos = (pos[0] + dr, pos[1] + dc)
+        plan.extend(path)
+        plan.append(Action.TAKE)
+        past.extend(path)
+        belief[pos[0]][pos[1]] -= 1
+
+
+def greedy_run(grid: Grid, constraints: ConstraintSet, rng: Generator) -> EpisodeResult:
+    """Plan the greedy agent and run the plan under the constraints."""
+    return run_episode(grid, constraints, greedy_plan(grid, constraints.action_set, rng))
+
+
+def baseline_plan(
+    agent: str,
+    grid: Grid,
+    action_set: ActionSet,
+    seed: int,
+    resample_invalid: bool = False,
+) -> list[Action]:
+    """One named baseline agent's plan for a (grid, action set, seed); the
+    same under every carry limit and step cost."""
+    rng = generator(seed)
+    if agent == RANDOM_WALK:
+        return random_walk_plan(action_set, rng, grid=grid, resample_invalid=resample_invalid)
+    if agent == GREEDY:
+        return greedy_plan(grid, action_set, rng)
+    raise ValueError(f"unknown baseline agent: {agent!r}")
 
 
 def run_baseline(
@@ -168,12 +189,5 @@ def run_baseline(
     resample_invalid: bool = False,
 ) -> EpisodeResult:
     """Run one named baseline agent on one instance, deterministically."""
-    rng = generator(seed)
-    if agent == RANDOM_WALK:
-        plan = random_walk_plan(
-            constraints.action_set, rng, grid=grid, resample_invalid=resample_invalid
-        )
-        return run_episode(grid, constraints, plan)
-    if agent == GREEDY:
-        return greedy_run(grid, constraints, rng)
-    raise ValueError(f"unknown baseline agent: {agent!r}")
+    plan = baseline_plan(agent, grid, constraints.action_set, seed, resample_invalid)
+    return run_episode(grid, constraints, plan)

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .rng import derive_seed, generator
+from .rng import Generator, derive_seed, generator
 
 GRID_SIZE = 11
 INNER_LO, INNER_HI = 3, 7
@@ -130,7 +128,7 @@ class Grid:
         return 0 <= row < GRID_SIZE and 0 <= col < GRID_SIZE
 
 
-def sample_params(kind: DistributionKind, rng: np.random.Generator) -> DistributionParams:
+def sample_params(kind: DistributionKind, rng: Generator) -> DistributionParams:
     """Draw the per-instance parameters for one distribution kind.
 
     Draw order per kind: random -> one uniform(0.3, 0.7); skew kinds -> one
@@ -172,7 +170,7 @@ def spiral_point(i: int, eps_theta: float = 0.0, eps_r: float = 0.0) -> tuple[in
     return None
 
 
-def spiral_cells(rng: np.random.Generator) -> list[tuple[int, int]]:
+def spiral_cells(rng: Generator) -> list[tuple[int, int]]:
     """In-bounds cells of one noisy spiral walk, in step order, repeats kept."""
     cells = []
     for i in range(SPIRAL_STEPS + 1):
@@ -185,7 +183,7 @@ def spiral_cells(rng: np.random.Generator) -> list[tuple[int, int]]:
 
 
 def place_energy(
-    kind: DistributionKind, params: DistributionParams, rng: np.random.Generator
+    kind: DistributionKind, params: DistributionParams, rng: Generator
 ) -> list[list[int]]:
     """Build the 11x11 energy mask for the sampled parameters."""
     energy = [[0] * GRID_SIZE for _ in range(GRID_SIZE)]
@@ -217,7 +215,7 @@ def place_energy(
 
 
 def place_obstacles(
-    energy: list[list[int]], rng: np.random.Generator
+    energy: list[list[int]], rng: Generator
 ) -> list[list[bool]]:
     """Sample the Bernoulli(0.1) obstacle field, clearing energy underneath."""
     draws = rng.random((GRID_SIZE, GRID_SIZE))
@@ -252,7 +250,7 @@ def place_start(
     energy: list[list[int]],
     obstacles: list[list[bool]],
     mode: StartMode,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> tuple[int, int]:
     """Pick the start uniformly in the mode's region and clear that cell."""
     candidates = inner_cells() if mode is StartMode.INNER else outer_cells()

@@ -89,12 +89,15 @@ class ActionPlan:
     parse_notes: list[tuple[str, str]] = field(default_factory=list)
 
 
-def build_prompt(grid: Grid, constraints: ConstraintSet, model: str = "") -> PromptBundle:
+def build_prompt(
+    grid: Grid, constraints: ConstraintSet, model: str = "", text: str | None = None
+) -> PromptBundle:
     """Assemble the system and user messages for one benchmark instance.
 
     The obstacle wording follows the grid's generation flag; for grids parsed
     from text (no generation record) it follows whether any obstacle cell is
-    present.
+    present. ``text``, when given, is ``render(grid)`` made once for all of
+    the grid's instances.
     """
     if grid.spec is not None:
         has_obstacles = grid.spec.has_obstacles
@@ -109,7 +112,7 @@ def build_prompt(grid: Grid, constraints: ConstraintSet, model: str = "") -> Pro
     )
     user = USER_TEMPLATE.format(
         user_obstacle_prompt=USER_OBSTACLE_PROMPT if has_obstacles else "",
-        grid=render(grid),
+        grid=render(grid) if text is None else text,
     )
     return PromptBundle(system=system, user=user, model=model)
 

@@ -306,19 +306,28 @@ def run_one(
     suite_seed: int,
     resample_invalid: bool = False,
     client=None,
+    memo: dict | None = None,
 ) -> tuple[RunRecord, object, ActionPlan | None]:
     """Execute one instance for one agent; never raises for LLM transport
-    failures, which come back as unscored records."""
+    failures, which come back as unscored records.
+
+    ``memo`` holds what the instances of one grid share, made by the first
+    that needs it: the grid text under ``"text"`` and each baseline plan
+    under its record seed, which leaves out the carry limit and step cost.
+    """
     kind, model = parse_agent(agent_spec)
     seed = record_seed(suite_seed, instance, replicate)
     grid = benchmark.grid(instance)
     constraints = instance.constraints()
+    memo = {} if memo is None else memo
     started = _now()
     plan = None
     if kind == "llm":
         if client is None:
             raise ValueError("an LLM agent needs a client (endpoint or cassette)")
-        bundle = build_prompt(grid, constraints, model=model)
+        if "text" not in memo:
+            memo["text"] = render(grid)
+        bundle = build_prompt(grid, constraints, model=model, text=memo["text"])
         try:
             raw = client.complete(bundle)
         except LlmClientError as exc:
@@ -336,9 +345,11 @@ def run_one(
         plan = parse_plan(raw)
         result = run_episode(grid, constraints, plan.actions)
     else:
-        result = agents_mod.run_baseline(
-            kind, grid, constraints, seed, resample_invalid=resample_invalid
-        )
+        if seed not in memo:
+            memo[seed] = agents_mod.baseline_plan(
+                kind, grid, instance.action_set, seed, resample_invalid=resample_invalid
+            )
+        result = run_episode(grid, constraints, memo[seed])
     record = RunRecord(
         instance_id=instance.to_str(),
         agent=agent_spec,
@@ -454,14 +465,16 @@ def run_suite(
         json.dump(meta, handle, indent=1, sort_keys=True)
 
     def work(chunk):
+        memo: dict = {}
         return [
             (instance, run_one(benchmark, agent_spec, instance, replicate, suite_seed,
-                               resample_invalid=resample_invalid, client=client))
+                               resample_invalid=resample_invalid, client=client, memo=memo))
             for instance, replicate in chunk
         ]
 
     # pending is grid-major, so one chunk per grid has one thread fill that
-    # grid's cache entry, and the flattened chunks keep the serial order.
+    # grid's cache entry and the chunk's memo, and the flattened chunks keep
+    # the serial order.
     chunks = [
         list(chunk) for _, chunk in itertools.groupby(pending, lambda item: item[0].grid_key)
     ]
@@ -471,7 +484,10 @@ def run_suite(
 
         pool = ThreadPoolExecutor(concurrency)
     scored = unscored = 0
-    with open(out_path, "a", encoding="utf-8") as out, pool or contextlib.nullcontext():
+    # Line-buffered: each record reaches the file as it is written, so a
+    # crash loses at most the line being written.
+    with (open(out_path, "a", encoding="utf-8", buffering=1) as out,
+          pool or contextlib.nullcontext()):
         outcomes = (pool.map if pool else map)(work, chunks)
         for instance, (record, result, plan) in itertools.chain.from_iterable(outcomes):
             if record.status == "scored":

@@ -3,13 +3,21 @@ import math
 import pytest
 
 from conftest import make_grid, nearest_energy_distance
-from grasp.agents import greedy_plan_step, greedy_run, random_walk_plan, run_baseline
+from grasp.agents import (
+    greedy_plan,
+    greedy_plan_step,
+    greedy_run,
+    random_walk_plan,
+    run_baseline,
+)
 from grasp.env import (
     Action,
     ActionSet,
     ConstraintSet,
     Effect,
+    EpisodeState,
     MOVE_DELTAS,
+    complement,
     run_episode,
 )
 from grasp.generate import DistributionKind, StartMode, generate_grid
@@ -207,6 +215,45 @@ def test_greedy_plan_independent_of_limit_and_cost():
     ):
         other = greedy_run(grid, constraints, generator(11))
         assert [a for a, _ in other.trace] == [a for a, _ in baseline.trace]
+
+
+def _live_greedy(grid, constraints, rng):
+    """The greedy agent stepped live: each decision reads the position and
+    remaining budget of the running episode, under the real constraints."""
+    state = EpisodeState(grid, constraints)
+    belief = grid.copy_energy()
+    past = []
+    while True:
+        path = greedy_plan_step(
+            grid, belief, state.agent_pos, state.remaining,
+            constraints.action_set, rng, past,
+        )
+        if path is None:
+            for action in reversed(past):
+                state.step(complement(action))
+            state.step(Action.DROP)
+            return state.result()
+        for action in path:
+            state.step(action)
+            past.append(action)
+        state.step(Action.TAKE)
+        row, col = state.agent_pos
+        belief[row][col] -= 1
+
+
+def test_greedy_plan_matches_live_stepping_under_every_arm():
+    arms = [(limit, cost) for limit in (None, 2) for cost in (0.0, 0.3)]
+    for seed in range(80):
+        kind = list(DistributionKind)[seed % 5]
+        start = StartMode.INNER if seed % 3 else StartMode.OUTER
+        grid = generate_grid(kind, seed % 2 == 0, start, 0, seed)
+        for action_set in (ActionSet.MU1, ActionSet.MU2):
+            plan = greedy_plan(grid, action_set, generator(seed))
+            for limit, cost in arms:
+                constraints = ConstraintSet(action_set, carry_limit=limit, step_cost=cost)
+                live = _live_greedy(grid, constraints, generator(seed))
+                assert [action for action, _ in live.trace] == plan
+                assert live == run_episode(grid, constraints, plan)
 
 
 def test_run_baseline_deterministic():

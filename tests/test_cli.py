@@ -264,3 +264,11 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("grasp").__file__)))
+    code = "import sys, grasp.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"

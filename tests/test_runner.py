@@ -1,10 +1,13 @@
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 
 import pytest
 
+from grasp.agents import greedy_plan
 from grasp.env import ActionSet
 from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.llm import build_prompt, write_cassette
@@ -270,6 +273,106 @@ def test_run_suite_pool_generates_each_grid_once(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert len(calls) == 20
     assert len(set(calls)) == 20
+
+
+def test_greedy_plans_once_per_grid_and_action_set(tmp_path, monkeypatch):
+    from grasp import agents
+
+    plans = []
+
+    def counted(grid, action_set, rng):
+        plans.append((grid.spec.grid_id, action_set))
+        return greedy_plan(grid, action_set, rng)
+
+    monkeypatch.setattr(agents, "greedy_plan", counted)
+    summary = run_suite(Benchmark.from_seed(0), "greedy", str(tmp_path / "g.jsonl"),
+                        index_lo=0, index_hi=0, write_traces=False)
+    assert summary["scored"] == 160
+    assert len(plans) == 40
+    assert len(set(plans)) == 40
+
+
+def _without_timestamps(path):
+    records = []
+    for line in open(path, encoding="utf-8"):
+        record = json.loads(line)
+        del record["started_at"], record["finished_at"]
+        records.append(record)
+    return sorted(records, key=lambda record: record["instance_id"])
+
+
+@pytest.mark.parametrize("agent", ["greedy", "random-walk"])
+def test_resume_from_limit_arms_matches_full_run(tmp_path, agent):
+    # The plan of a (grid, action set, replicate) is made once per chunk and
+    # shared by its arms; a resume that only has the other arms left must
+    # still make the same plans.
+    full, part = tmp_path / "full", tmp_path / "part"
+    part.mkdir()
+    kwargs = dict(index_lo=0, index_hi=1, replicates=2, suite_seed=3,
+                  resample_invalid=agent == "random-walk")
+    run_suite(Benchmark.from_seed(0), agent, str(full / "r.jsonl"), **kwargs)
+    shutil.copy(full / "r.jsonl.meta.json", part / "r.jsonl.meta.json")
+    kept = [line for line in open(full / "r.jsonl") if "/lim=2/" in line]
+    (part / "r.jsonl").write_text("".join(kept))
+    summary = run_suite(Benchmark.from_seed(0), agent, str(part / "r.jsonl"), **kwargs)
+    assert summary["skipped_existing"] == len(kept) == 320
+    assert summary["scored"] == 320
+    assert _without_timestamps(part / "r.jsonl") == _without_timestamps(full / "r.jsonl")
+    for name in os.listdir(part / "traces"):
+        assert (part / "traces" / name).read_bytes() == (full / "traces" / name).read_bytes()
+
+
+def test_llm_run_renders_each_grid_once(tmp_path, monkeypatch):
+    from grasp import runner
+    from grasp.llm import CassetteClient
+
+    cassette = _cassette_for(tmp_path, index_hi=1)
+    renders = []
+
+    def counted(grid):
+        renders.append(grid.spec.grid_id)
+        return render(grid)
+
+    monkeypatch.setattr(runner, "render", counted)
+    summary = run_suite(Benchmark.from_seed(0), "llm:m", str(tmp_path / "llm.jsonl"),
+                        index_lo=0, index_hi=1, concurrency=2,
+                        client=CassetteClient(cassette))
+    # Every prompt still hits the cassette, so the prompt bytes are unchanged.
+    assert (summary["scored"], summary["unscored"]) == (320, 0)
+    assert len(renders) == len(set(renders)) == 40
+
+
+CRASHING_RUN = """
+import os, sys
+from grasp.runner import Benchmark, run_suite
+
+class CrashingClient:
+    calls = 0
+
+    def complete(self, bundle):
+        CrashingClient.calls += 1
+        if CrashingClient.calls == 21:
+            os._exit(1)
+        return "[TAKE, DROP]"
+
+run_suite(Benchmark.from_seed(0), "llm:m", sys.argv[1], index_lo=0, index_hi=0,
+          client=CrashingClient())
+"""
+
+
+def test_crash_keeps_every_record_written(tmp_path):
+    # The 21st request kills the process mid-way through the third grid: the
+    # records of the first two grids, 16, must all be on disk.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("grasp").__file__)))
+    out = tmp_path / "llm.jsonl"
+    proc = subprocess.run([sys.executable, "-c", CRASHING_RUN, str(out)],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert len(os.listdir(tmp_path / "traces")) == 16
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == 16
+    assert all(line.endswith("\n") for line in lines)
+    assert len(load_records(str(out))) == 16
 
 
 def test_resume_identity_from_older_meta_matches(tmp_path):
