@@ -6,7 +6,7 @@ a chat-model prompt/parse harness, and an evaluation runner that produces
 grouped Length/Energy tables and trace exports.
 """
 
-from .agents import GREEDY, RANDOM_WALK, greedy_run, random_walk_plan, run_baseline
+from .agents import GREEDY, RANDOM_WALK, baseline_plan, random_walk_plan
 from .env import (
     Action,
     ActionSet,

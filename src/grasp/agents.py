@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .env import (
-    MAX_STEPS,
-    MOVE_DELTAS,
-    Action,
-    ActionSet,
-    ConstraintSet,
-    EpisodeResult,
-    complement,
-    run_episode,
-)
+from .env import MAX_STEPS, MOVE_DELTAS, Action, ActionSet, complement
 from .generate import Grid
 from .rng import Generator, generator
 
@@ -159,11 +150,6 @@ def greedy_plan(grid: Grid, action_set: ActionSet, rng: Generator) -> list[Actio
         belief[pos[0]][pos[1]] -= 1
 
 
-def greedy_run(grid: Grid, constraints: ConstraintSet, rng: Generator) -> EpisodeResult:
-    """Plan the greedy agent and run the plan under the constraints."""
-    return run_episode(grid, constraints, greedy_plan(grid, constraints.action_set, rng))
-
-
 def baseline_plan(
     agent: str,
     grid: Grid,
@@ -172,22 +158,11 @@ def baseline_plan(
     resample_invalid: bool = False,
 ) -> list[Action]:
     """One named baseline agent's plan for a (grid, action set, seed); the
-    same under every carry limit and step cost."""
+    same under every carry limit and step cost, so ``run_episode`` plays one
+    plan under each."""
     rng = generator(seed)
     if agent == RANDOM_WALK:
         return random_walk_plan(action_set, rng, grid=grid, resample_invalid=resample_invalid)
     if agent == GREEDY:
         return greedy_plan(grid, action_set, rng)
     raise ValueError(f"unknown baseline agent: {agent!r}")
-
-
-def run_baseline(
-    agent: str,
-    grid: Grid,
-    constraints: ConstraintSet,
-    seed: int,
-    resample_invalid: bool = False,
-) -> EpisodeResult:
-    """Run one named baseline agent on one instance, deterministically."""
-    plan = baseline_plan(agent, grid, constraints.action_set, seed, resample_invalid)
-    return run_episode(grid, constraints, plan)

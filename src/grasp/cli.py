@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,6 +23,13 @@ def _parse_subset(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"subset must look like A..B, got {text!r}"
         ) from exc
+
+
+def _count(text: str) -> int:
+    """An integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suite seed (also the master seed without --benchmark)")
     run.add_argument("--subset", type=_parse_subset, default=(0, 99),
                      metavar="A..B", help="grid index range, default 0..99")
-    run.add_argument("--replicates", type=int, default=1)
+    run.add_argument("--replicates", type=_count, default=1)
     run.add_argument("--resample-invalid", action="store_true",
                      help="random walk redraws moves that would not apply")
     run.add_argument("--llm-config", help="JSON file with client settings")
@@ -159,27 +167,7 @@ def cmd_report(args) -> int:
     if args.csv:
         runner.write_aggregates_csv(rows, args.csv)
     if args.json:
-        payload = {
-            "rows": [
-                {
-                    "control": row.control,
-                    "value": row.value,
-                    "agents": {
-                        agent: {
-                            "n": stats.n,
-                            "mean_length": stats.mean_length,
-                            "mean_energy": stats.mean_energy,
-                            "stderr_energy": stats.stderr_energy,
-                            "is_max_energy": stats.is_max_energy,
-                            "is_min_energy": stats.is_min_energy,
-                        }
-                        for agent, stats in row.per_agent.items()
-                    },
-                    "unscored": row.unscored,
-                }
-                for row in rows
-            ]
-        }
+        payload = {"rows": [dataclasses.asdict(row) for row in rows]}
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         print(runner.format_table(rows), end="")

@@ -95,7 +95,6 @@ class ConstraintSet:
     action_set: ActionSet = ActionSet.MU1
     carry_limit: int | None = None  # None or 2
     step_cost: float = 0.0  # 0.0 or 0.3
-    max_steps: int = MAX_STEPS
 
     @property
     def cost_tenths(self) -> int:
@@ -106,7 +105,7 @@ class ConstraintSet:
             "action_set": self.action_set.value,
             "carry_limit": self.carry_limit,
             "step_cost": self.step_cost,
-            "max_steps": self.max_steps,
+            "max_steps": MAX_STEPS,  # fixed; traces state it for their readers
         }
 
     @classmethod
@@ -115,7 +114,6 @@ class ConstraintSet:
             action_set=ActionSet(data["action_set"]),
             carry_limit=data["carry_limit"],
             step_cost=float(data["step_cost"]),
-            max_steps=int(data.get("max_steps", MAX_STEPS)),
         )
 
 
@@ -150,7 +148,7 @@ class EpisodeState:
 
     @property
     def remaining(self) -> int:
-        return self.constraints.max_steps - self.steps_executed
+        return MAX_STEPS - self.steps_executed
 
     def total_energy(self) -> int:
         """Cell energy plus carried units; conserved across every action."""
@@ -159,9 +157,7 @@ class EpisodeState:
     def step(self, action: Action) -> Effect:
         """Execute one action, returning whether it changed the environment."""
         if self.remaining <= 0:
-            raise BudgetExhausted(
-                f"step budget of {self.constraints.max_steps} already spent"
-            )
+            raise BudgetExhausted(f"step budget of {MAX_STEPS} already spent")
         effect = self._apply(action)
         self.steps_executed += 1
         self.trace.append((action, effect))
@@ -213,24 +209,18 @@ class EpisodeState:
 def run_episode(grid: Grid, constraints: ConstraintSet, plan: list[Action]) -> EpisodeResult:
     """Execute a plan, truncated to the step budget, and score it."""
     state = EpisodeState(grid, constraints)
-    for action in plan[: constraints.max_steps]:
+    for action in plan[:MAX_STEPS]:
         state.step(action)
     return state.result()
 
 
-def replay(trace: dict, grid: Grid) -> tuple[EpisodeResult, list[tuple[int, int]]]:
-    """Re-run a persisted trace on a grid: the result, plus the agent's
-    position before the first action and after each one.
+def replay(trace: dict, grid: Grid) -> EpisodeResult:
+    """Re-run a persisted trace on a grid.
 
     Raises ValueError when any action's effect differs from the recorded one.
     """
     constraints = ConstraintSet.from_dict(trace["constraints"])
-    state = EpisodeState(grid, constraints)
-    positions = [state.agent_pos]
-    for action in trace["actions"][: constraints.max_steps]:
-        state.step(Action(action))
-        positions.append(state.agent_pos)
-    result = state.result()
+    result = run_episode(grid, constraints, [Action(action) for action in trace["actions"]])
     if [effect.value for _, effect in result.trace] != trace["effects"]:
         raise ValueError("trace does not replay on this grid")
-    return result, positions
+    return result

@@ -29,7 +29,6 @@ OBSTACLE_PROB = 0.1
 SPIRAL_STEPS = 110  # noise-free radius reaches 2*pi at i = 110
 
 _GRID_DOMAIN = 1
-_SPIRAL_DOMAIN = 2
 
 
 class DistributionKind(str, Enum):
@@ -99,10 +98,6 @@ class Grid:
     obstacles: list[list[bool]]
     start: tuple[int, int]
     spec: GridSpec | None = None
-
-    @property
-    def size(self) -> int:
-        return GRID_SIZE
 
     def symbol(self, row: int, col: int) -> str:
         """The cell's glyph: "A" for the start, else "O" for an obstacle,

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import urllib.error
 from dataclasses import dataclass, field
@@ -62,17 +63,16 @@ _LIST_RE = re.compile(r"\[([^\[\]]*)\]")
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """The two chat messages for one instance, pinned to temperature 0."""
+    """The two chat messages for one instance, sent at temperature 0."""
 
     system: str
     user: str
     model: str
-    temperature: float = 0.0
 
     def request_body(self) -> dict:
         return {
             "model": self.model,
-            "temperature": self.temperature,
+            "temperature": 0.0,  # a float: request_key hashes its JSON "0.0"
             "messages": [
                 {"role": "system", "content": self.system},
                 {"role": "user", "content": self.user},
@@ -145,12 +145,20 @@ def parse_plan(raw: str) -> ActionPlan:
     return ActionPlan(actions=actions, raw_response=raw, parse_notes=notes)
 
 
+# What each numeric client setting must satisfy, as a test and as words.
+_CONFIG_BOUNDS = {
+    "max_retries": (lambda value: value >= 1, " >= 1"),
+    "backoff_base": (lambda value: value >= 0, " >= 0"),
+    "timeout": (lambda value: value > 0, " > 0"),
+    "concurrency": (lambda value: value >= 1, " >= 1"),
+}
+
+
 @dataclass
 class ClientConfig:
     """Connection settings for a chat-completions style endpoint."""
 
     endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-3.5-turbo-0125"
     max_retries: int = 3
     backoff_base: float = 1.0
     timeout: float = 60.0
@@ -159,16 +167,22 @@ class ClientConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ClientConfig":
+        """Settings from a JSON object. Each value has its field's type (an
+        int also serves for a float; a bool for nothing) and bound."""
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        config = cls()
+        defaults = vars(cls())
         for key, value in data.items():
-            if not hasattr(config, key):
+            if key not in defaults:
                 raise ValueError(f"unknown client config key: {key!r}")
-            if key == "concurrency" and (type(value) is not int or value < 1):
-                raise ValueError(f"client config key 'concurrency' must be an int >= 1: {value!r}")
-            setattr(config, key, value)
-        return config
+            kind = type(defaults[key])
+            typed = type(value) is kind or (kind is float and type(value) is int)
+            within, bound = _CONFIG_BOUNDS.get(key, (lambda value: True, ""))
+            if not (typed and within(value)):
+                raise ValueError(
+                    f"client config key {key!r} must be {kind.__name__}{bound}: {value!r}"
+                )
+        return cls(**data)
 
 
 class LlmClientError(RuntimeError):
@@ -243,6 +257,16 @@ def _extract_content(body: bytes) -> str:
         raise LlmClientError(f"malformed response payload: {exc}") from exc
 
 
+def write_cassette(path: str, entries: list[tuple[dict, str]]) -> None:
+    """Write a cassette file from (request body, response text) pairs."""
+    records = {
+        request_key(body): {"request": body, "response": response}
+        for body, response in entries
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"records": records}, handle, indent=2, sort_keys=True)
+
+
 class CassetteClient:
     """Replays recorded responses keyed by request hash; fully offline."""
 
@@ -260,31 +284,19 @@ class CassetteClient:
 
 
 class RecordingClient:
-    """Wraps a live client and appends request/response pairs to a cassette."""
+    """Wraps a live client and adds request/response pairs to a cassette,
+    which it reads as ``CassetteClient`` does and rewrites after each response."""
 
     def __init__(self, inner, path: str):
         self.inner = inner
         self.path = path
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                self.records = json.load(handle).get("records", {})
-        else:
-            self.records = {}
+        records = CassetteClient(path).records if os.path.exists(path) else {}
+        self.entries = [(record["request"], record["response"]) for record in records.values()]
+        self._lock = threading.Lock()  # concurrent requests rewrite one file
 
     def complete(self, bundle: PromptBundle) -> str:
-        body = bundle.request_body()
         response = self.inner.complete(bundle)
-        self.records[request_key(body)] = {"request": body, "response": response}
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump({"records": self.records}, handle, indent=2, sort_keys=True)
+        with self._lock:
+            self.entries.append((bundle.request_body(), response))
+            write_cassette(self.path, self.entries)
         return response
-
-
-def write_cassette(path: str, entries: list[tuple[dict, str]]) -> None:
-    """Write a cassette file from (request body, response text) pairs."""
-    records = {
-        request_key(body): {"request": body, "response": response}
-        for body, response in entries
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"records": records}, handle, indent=2, sort_keys=True)

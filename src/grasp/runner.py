@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import agents as agents_mod
-from .env import ActionSet, ConstraintSet, replay, run_episode
+from .env import ActionSet, ConstraintSet, run_episode
 from .generate import (
     DistributionKind,
     Grid,
@@ -422,6 +422,8 @@ def run_suite(
     serially. A results file is resumed only under the suite seed, grid
     master seed and ``resample_invalid`` its meta file names.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     if parse_agent(agent_spec)[0] != "llm" and concurrency > 1:
         raise ValueError(f"{agent_spec} runs serially; concurrency is for LLM clients")
     instances = enumerate_instances(index_lo, index_hi)
@@ -571,7 +573,7 @@ class AgentStats:
 class AggregateRow:
     control: str
     value: str
-    per_agent: dict[str, AgentStats]
+    agents: dict[str, AgentStats]
     unscored: dict[str, int]
 
 
@@ -615,28 +617,28 @@ def aggregate(records: list[RunRecord], controls: list[str] | None = None) -> li
             label = control_value(control, instance)
             if label is not None:
                 filed.setdefault((control, label, record.agent), []).append(record)
-    agents = sorted({record.agent for record in records})
+    names = sorted({record.agent for record in records})
     rows = []
     for control in controls:
         for value in CONTROLS[control].labels.values():
-            per_agent = {}
+            agents = {}
             unscored = {}
-            for agent in agents:
+            for agent in names:
                 matching = filed.get((control, value, agent), [])
                 scored = [r for r in matching if r.status == "scored"]
                 unscored[agent] = len(matching) - len(scored)
                 stats = _stats(scored)
                 if stats is not None:
-                    per_agent[agent] = stats
-            energies = {a: s.mean_energy for a, s in per_agent.items()}
+                    agents[agent] = stats
+            energies = {a: s.mean_energy for a, s in agents.items()}
             if len(energies) > 1:
                 top = max(energies.values())
                 bottom = min(energies.values())
-                for agent, stats in per_agent.items():
+                for agent, stats in agents.items():
                     stats.is_max_energy = stats.mean_energy == top
                     stats.is_min_energy = stats.mean_energy == bottom
             rows.append(
-                AggregateRow(control=control, value=value, per_agent=per_agent, unscored=unscored)
+                AggregateRow(control=control, value=value, agents=agents, unscored=unscored)
             )
     return rows
 
@@ -645,7 +647,7 @@ def format_table(rows: list[AggregateRow]) -> str:
     """Aligned text table: one line per control value, Length and Energy per
     agent; in multi-agent tables the row's best energy is marked with ``*``
     and the worst with ``!``."""
-    agents = sorted({agent for row in rows for agent in row.per_agent})
+    agents = sorted({agent for row in rows for agent in row.agents})
     headers = ["Control", "Value"]
     for agent in agents:
         headers.append(f"{agent} Length")
@@ -654,7 +656,7 @@ def format_table(rows: list[AggregateRow]) -> str:
     for row in rows:
         line = [CONTROLS[row.control].title, row.value]
         for agent in agents:
-            stats = row.per_agent.get(agent)
+            stats = row.agents.get(agent)
             if stats is None:
                 line.extend(["-", "-"])
                 continue
@@ -693,8 +695,8 @@ def write_aggregates_csv(rows: list[AggregateRow], path: str) -> None:
             ]
         )
         for row in rows:
-            for agent in sorted(row.per_agent):
-                stats = row.per_agent[agent]
+            for agent in sorted(row.agents):
+                stats = row.agents[agent]
                 writer.writerow(
                     [
                         row.control,
@@ -710,7 +712,3 @@ def write_aggregates_csv(rows: list[AggregateRow], path: str) -> None:
                     ]
                 )
 
-
-def rescore_trace(trace: dict, grid: Grid) -> float:
-    """Replay a persisted trace against its grid and return the score."""
-    return replay(trace, grid)[0].score

@@ -21,7 +21,7 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
 
     Raises ValueError when the trace does not replay on the given grid.
     """
-    result, positions = replay(trace, grid)
+    result = replay(trace, grid)
 
     side = GRID_SIZE * CELL + 2 * MARGIN
     parts = [
@@ -51,10 +51,16 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
                     f'font-family="monospace" font-size="16" '
                     f'text-anchor="middle">{symbol}</text>'
                 )
-    for idx, (action, effect) in enumerate(result.trace):
+    # Walk the agent's cell through the trace: an arrow per applied move,
+    # and the cell of every TAKE for the stars drawn over them.
+    (r0, c0), takes = grid.start, []
+    for action, effect in result.trace:
+        if action is Action.TAKE:
+            takes.append((r0, c0))
         if action not in MOVE_DELTAS or effect is not Effect.APPLIED:
             continue
-        (r0, c0), (r1, c1) = positions[idx], positions[idx + 1]
+        dr, dc = MOVE_DELTAS[action]
+        r1, c1 = r0 + dr, c0 + dc
         x0 = MARGIN + c0 * CELL + CELL // 2
         y0 = MARGIN + r0 * CELL + CELL // 2
         x1 = MARGIN + c1 * CELL + CELL // 2
@@ -63,7 +69,7 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
             f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" stroke="#1f6fd6" '
             'stroke-width="2" marker-end="url(#arrow)"/>'
         )
-    takes = [pos for pos, (action, _) in zip(positions, result.trace) if action is Action.TAKE]
+        r0, c0 = r1, c1
     for idx, (row, col) in enumerate(takes):
         x = MARGIN + col * CELL + CELL - 20
         y = MARGIN + row * CELL - 2 + (idx % 3)

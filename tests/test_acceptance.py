@@ -26,7 +26,7 @@ from conftest import (
     nearest_energy_distance,
     reference_greedy_plan,
 )
-from grasp.agents import greedy_plan_step, run_baseline
+from grasp.agents import baseline_plan, greedy_plan_step
 from grasp.env import (
     Action,
     ActionSet,
@@ -84,7 +84,8 @@ def random_walk_records(bench, subset_instances):
         constraints = instance.constraints()
         for rep in range(5):
             seed = record_seed(SUITE_SEED, instance, rep)
-            result = run_baseline("random-walk", grid, constraints, seed)
+            plan = baseline_plan("random-walk", grid, constraints.action_set, seed)
+            result = run_episode(grid, constraints, plan)
             records.append((instance, rep, result))
     return records
 
@@ -95,7 +96,8 @@ def greedy_records(bench, subset_instances):
     for instance in subset_instances:
         grid = bench.grid(instance)
         seed = record_seed(SUITE_SEED, instance, 0)
-        result = run_baseline("greedy", grid, instance.constraints(), seed)
+        plan = baseline_plan("greedy", grid, instance.action_set, seed)
+        result = run_episode(grid, instance.constraints(), plan)
         records.append((instance, result))
     return records
 

@@ -3,13 +3,7 @@ import math
 import pytest
 
 from conftest import make_grid, nearest_energy_distance
-from grasp.agents import (
-    greedy_plan,
-    greedy_plan_step,
-    greedy_run,
-    random_walk_plan,
-    run_baseline,
-)
+from grasp.agents import baseline_plan, greedy_plan, greedy_plan_step, random_walk_plan
 from grasp.env import (
     Action,
     ActionSet,
@@ -24,6 +18,11 @@ from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.rng import generator
 
 FREE = ConstraintSet()
+
+
+def _play(agent, grid, constraints, seed):
+    """A baseline's plan for the instance, played under its constraints."""
+    return run_episode(grid, constraints, baseline_plan(agent, grid, constraints.action_set, seed))
 
 
 class ScriptedRng:
@@ -153,11 +152,11 @@ def test_greedy_unreachable_energy_is_retreat():
 
 def test_greedy_empty_grid_plans_single_drop():
     grid = make_grid(start=(5, 5))
-    result = greedy_run(grid, FREE, generator(0))
+    result = _play("greedy", grid, FREE, 0)
     assert [a for a, _ in result.trace] == [Action.DROP]
     assert result.length == 1
     assert result.score == 0.0
-    costly = greedy_run(grid, ConstraintSet(step_cost=0.3), generator(0))
+    costly = _play("greedy", grid, ConstraintSet(step_cost=0.3), 0)
     assert costly.score == pytest.approx(-0.3)
 
 
@@ -194,7 +193,7 @@ def test_greedy_episode_invariants():
             carry_limit=2 if seed % 4 == 0 else None,
             step_cost=0.3 if seed % 4 == 1 else 0.0,
         )
-        result = greedy_run(grid, constraints, generator(seed))
+        result = _play("greedy", grid, constraints, seed)
         assert result.length <= 20
         assert result.final_pos == grid.start
         assert result.trace[-1][0] is Action.DROP
@@ -207,13 +206,13 @@ def test_greedy_episode_invariants():
 
 def test_greedy_plan_independent_of_limit_and_cost():
     grid = generate_grid(DistributionKind.RANDOM, True, StartMode.INNER, 0, 50)
-    baseline = greedy_run(grid, FREE, generator(11))
+    baseline = _play("greedy", grid, FREE, 11)
     for constraints in (
         ConstraintSet(carry_limit=2),
         ConstraintSet(step_cost=0.3),
         ConstraintSet(carry_limit=2, step_cost=0.3),
     ):
-        other = greedy_run(grid, constraints, generator(11))
+        other = _play("greedy", grid, constraints, 11)
         assert [a for a, _ in other.trace] == [a for a, _ in baseline.trace]
 
 
@@ -259,19 +258,19 @@ def test_greedy_plan_matches_live_stepping_under_every_arm():
 def test_run_baseline_deterministic():
     grid = generate_grid(DistributionKind.SPIRAL, True, StartMode.OUTER, 0, 8)
     for agent in ("random-walk", "greedy"):
-        first = run_baseline(agent, grid, FREE, 123)
-        second = run_baseline(agent, grid, FREE, 123)
+        first = _play(agent, grid, FREE, 123)
+        second = _play(agent, grid, FREE, 123)
         assert first.trace == second.trace
         assert first.score_tenths == second.score_tenths
 
 
 def test_run_baseline_cost_delta_is_5_7():
     grid = generate_grid(DistributionKind.RANDOM, False, StartMode.INNER, 0, 21)
-    free = run_baseline("random-walk", grid, FREE, 5)
-    costly = run_baseline("random-walk", grid, ConstraintSet(step_cost=0.3), 5)
+    free = _play("random-walk", grid, FREE, 5)
+    costly = _play("random-walk", grid, ConstraintSet(step_cost=0.3), 5)
     assert free.score - costly.score == pytest.approx(5.7)
 
 
 def test_run_baseline_unknown_agent():
     with pytest.raises(ValueError):
-        run_baseline("astar", make_grid(), FREE, 0)
+        baseline_plan("astar", make_grid(), ActionSet.MU1, 0)

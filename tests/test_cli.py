@@ -76,6 +76,27 @@ def test_run_and_report(tmp_path, capsys):
     assert os.path.exists(csv_path)
 
 
+def test_run_rejects_replicates_below_one(tmp_path, capsys):
+    results = str(tmp_path / "results.jsonl")
+    for bad in ("0", "-2", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--agent", "greedy", "--out", results, "--replicates", bad])
+        assert exc.value.code == 2
+        assert "--replicates: must be an integer >= 1" in capsys.readouterr().err
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_run_rejects_a_bad_client_config(tmp_path, capsys):
+    config = tmp_path / "client.json"
+    config.write_text(json.dumps({"max_retries": "3"}))
+    results = str(tmp_path / "llm.jsonl")
+    code, _, err = run_cli(capsys, "run", "--agent", "llm:m", "--out", results,
+                           "--subset", "0..0", "--llm-config", str(config))
+    assert code == 1
+    assert "client config key 'max_retries' must be int >= 1: '3'" in err
+    assert not os.path.exists(results)
+
+
 def test_run_resume_via_cli(tmp_path, capsys):
     results = str(tmp_path / "results.jsonl")
     args = ("run", "--agent", "greedy", "--out", results, "--subset", "0..0", "--json")
@@ -114,7 +135,7 @@ def test_run_llm_concurrency_from_config(tmp_path, capsys):
     cassette = str(tmp_path / "cassette.json")
     write_cassette(cassette, entries)
     config = tmp_path / "client.json"
-    config.write_text(json.dumps({"model": "m", "concurrency": 4}))
+    config.write_text(json.dumps({"concurrency": 4}))
     results = str(tmp_path / "llm.jsonl")
     code, stdout, _ = run_cli(
         capsys, "run", "--agent", "llm:m", "--out", results, "--subset", "0..0",

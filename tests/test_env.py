@@ -252,13 +252,11 @@ def _trace(constraints, result):
     }
 
 
-def test_replay_matches_the_episode_and_tracks_positions():
+def test_replay_matches_the_episode():
     grid = make_grid(start=(5, 5), energy=[(5, 6)], obstacles=[(4, 5)])
     plan = [Action.UP, Action.RIGHT, Action.TAKE, Action.LEFT, Action.DROP]
     result = run_episode(grid, COSTLY, plan)
-    replayed, positions = replay(_trace(COSTLY, result), grid)
-    assert replayed == result
-    assert positions == [(5, 5), (5, 5), (5, 6), (5, 6), (5, 5), (5, 5)]
+    assert replay(_trace(COSTLY, result), grid) == result
 
 
 def test_replay_rejects_a_trace_from_another_grid():

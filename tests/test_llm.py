@@ -3,8 +3,10 @@ import io
 import json
 import random
 import socket
+import sys
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -82,9 +84,9 @@ def test_prompt_deterministic_and_temperature_zero():
     first = build_prompt(grid, _constraints(2, 2, 0.3), model="m")
     second = build_prompt(grid, _constraints(2, 2, 0.3), model="m")
     assert first == second
-    assert first.temperature == 0.0
     body = first.request_body()
-    assert body["temperature"] == 0
+    # a float: cassettes are keyed by the hash of the body's JSON "0.0"
+    assert json.dumps(body["temperature"]) == "0.0"
     assert [m["role"] for m in body["messages"]] == ["system", "user"]
 
 
@@ -251,20 +253,32 @@ def test_http_client_malformed_payload(bundle, credential):
 
 def test_client_config_from_file(tmp_path):
     path = tmp_path / "client.json"
-    path.write_text(json.dumps({"endpoint": "http://x/v1", "model": "m2", "max_retries": 5}))
+    path.write_text(json.dumps({"endpoint": "http://x/v1", "max_retries": 5, "timeout": 2}))
     config = ClientConfig.from_file(str(path))
     assert config.endpoint == "http://x/v1"
-    assert config.model == "m2"
     assert config.max_retries == 5
-    path.write_text(json.dumps({"nope": 1}))
-    with pytest.raises(ValueError, match="unknown client config key"):
-        ClientConfig.from_file(str(path))
-    for bad in ("2", 0, True, 1.0):
-        path.write_text(json.dumps({"concurrency": bad}))
-        with pytest.raises(ValueError, match="'concurrency'"):
+    assert config.timeout == 2  # an int is fine where the default is a float
+    # the model comes only from --agent llm:<model>
+    for unknown in ({"nope": 1}, {"model": "m2"}, {"from_file": 1}):
+        path.write_text(json.dumps(unknown))
+        with pytest.raises(ValueError, match="unknown client config key"):
             ClientConfig.from_file(str(path))
-    path.write_text(json.dumps({"concurrency": 3}))
-    assert ClientConfig.from_file(str(path)).concurrency == 3
+    bad_values = {
+        "concurrency": ("2", 0, -1, True, 1.0),
+        "max_retries": ("3", 0, True, 2.0),
+        "timeout": (0, -1.5, "60", True, None),
+        "backoff_base": (-0.5, "1", False),
+        "endpoint": (1, None, ["http://x"]),
+        "api_key_env": (True, 0),
+    }
+    for key, values in bad_values.items():
+        for bad in values:
+            path.write_text(json.dumps({key: bad}))
+            with pytest.raises(ValueError, match=f"'{key}' must be"):
+                ClientConfig.from_file(str(path))
+    path.write_text(json.dumps({"concurrency": 3, "backoff_base": 0, "timeout": 0.5}))
+    config = ClientConfig.from_file(str(path))
+    assert (config.concurrency, config.backoff_base, config.timeout) == (3, 0, 0.5)
 
 
 def test_cassette_replay_and_miss(tmp_path, bundle):
@@ -286,6 +300,24 @@ def test_recording_client_round_trip(tmp_path, bundle):
     stored = json.loads(path.read_text())
     key = request_key(bundle.request_body())
     assert stored["records"][key]["request"]["model"] == "test-model"
+
+
+def test_recording_client_under_concurrent_requests(tmp_path):
+    # Each response rewrites the whole file; without one writer at a time,
+    # two rewrites interleave and leave a cassette that does not parse.
+    path = tmp_path / "rec.json"
+    bundles = [PromptBundle(system="s" * 2000, user=f"u{i}", model="m") for i in range(120)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            path.unlink(missing_ok=True)
+            recorder = RecordingClient(StubClient(response="[TAKE]"), str(path))
+            with ThreadPoolExecutor(4) as pool:
+                list(pool.map(recorder.complete, bundles, timeout=60))
+            assert len(json.loads(path.read_text())["records"]) == len(bundles)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stub_client_end_to_end_without_network():

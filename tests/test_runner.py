@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from grasp.agents import greedy_plan
-from grasp.env import ActionSet
+from grasp.env import ActionSet, replay
 from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.llm import build_prompt, write_cassette
 from grasp.runner import (
@@ -21,7 +21,6 @@ from grasp.runner import (
     format_table,
     load_records,
     record_seed,
-    rescore_trace,
     run_suite,
     write_aggregates_csv,
     write_benchmark,
@@ -137,6 +136,15 @@ def test_run_suite_random_walk(tmp_path):
     assert meta["replicates"] == 2
 
 
+def test_run_suite_rejects_replicates_below_one(tmp_path):
+    out = str(tmp_path / "results.jsonl")
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0,
+                      replicates=bad)
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_run_suite_resumes(tmp_path):
     out = str(tmp_path / "results.jsonl")
     bench = Benchmark.from_seed(0)
@@ -158,7 +166,7 @@ def test_run_suite_traces_rescore(tmp_path):
         trace_path = os.path.join(str(tmp_path), record.trace_path)
         trace = json.load(open(trace_path))
         grid = bench.grid(InstanceId.from_str(record.instance_id))
-        assert rescore_trace(trace, grid) == record.score
+        assert replay(trace, grid).score == record.score
         checked += 1
     assert checked > 5
 
@@ -174,7 +182,7 @@ def test_rescore_trace_rejects_another_grid(tmp_path):
         energy=[[0] * 11 for _ in range(11)], obstacles=grid.obstacles, start=grid.start
     )
     with pytest.raises(ValueError, match="does not replay"):
-        rescore_trace(trace, empty)
+        replay(trace, empty)
 
 
 def test_record_dict_round_trip_and_field_order():
@@ -452,7 +460,7 @@ def test_aggregate_single_record_everywhere():
     ]
     assert len(matching) == 7  # six controls plus the average row
     for row in matching:
-        stats = row.per_agent["a"]
+        stats = row.agents["a"]
         assert stats.n == 1
         assert stats.mean_length == 19.0
         assert stats.mean_energy == 1.0
@@ -501,7 +509,7 @@ def test_aggregate_counts_partition_per_control():
     rows = aggregate(records)
     for control in ("distribution", "obstacle", "step-cost"):
         total = sum(
-            row.per_agent["a"].n for row in rows if row.control == control
+            row.agents["a"].n for row in rows if row.control == control
         )
         assert total == len(records)
 
@@ -512,8 +520,8 @@ def test_aggregate_excludes_unscored_but_counts_them():
     records.append(_record(instances[3], status="unscored", score=None, length=None))
     rows = aggregate(records, controls=["average"])
     row = rows[0]
-    assert row.per_agent["a"].n == 3
-    assert row.per_agent["a"].mean_energy == 2.0
+    assert row.agents["a"].n == 3
+    assert row.agents["a"].mean_energy == 2.0
     assert row.unscored["a"] == 1
 
 
@@ -522,7 +530,7 @@ def test_aggregate_cost_arm_pairing_random_walk(tmp_path):
     run_suite(Benchmark.from_seed(0), "random-walk", out, index_lo=0, index_hi=0,
               suite_seed=7, write_traces=False)
     rows = aggregate(load_records(out), controls=["step-cost"])
-    by_value = {row.value: row.per_agent["random-walk"] for row in rows}
+    by_value = {row.value: row.agents["random-walk"] for row in rows}
     delta = by_value["0 Unit"].mean_energy - by_value["0.3 Unit"].mean_energy
     assert delta == pytest.approx(5.7, abs=1e-9)
 

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from conftest import make_grid
+from grasp.env import Action, ConstraintSet, run_episode
 from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.runner import Benchmark, InstanceId, enumerate_instances, load_records, run_suite
 from grasp.svg import export_trace_svg
@@ -58,3 +60,23 @@ def test_trace_grid_mismatch_raises(tmp_path):
     wrong = generate_grid(DistributionKind.RANDOM, False, StartMode.OUTER, 1, 999)
     with pytest.raises(ValueError, match="does not replay"):
         export_trace_svg(trace, wrong)
+
+
+def test_arrows_follow_the_applied_moves():
+    # The blocked UP draws nothing; RIGHT and LEFT join the centers of
+    # (5, 5) and (5, 6), and the TAKE's star sits on (5, 6).
+    grid = make_grid(start=(5, 5), energy=[(5, 6)], obstacles=[(4, 5)])
+    plan = [Action.UP, Action.RIGHT, Action.TAKE, Action.LEFT, Action.DROP]
+    result = run_episode(grid, ConstraintSet(), plan)
+    trace = {
+        "constraints": ConstraintSet().to_dict(),
+        "actions": [action.value for action, _ in result.trace],
+        "effects": [effect.value for _, effect in result.trace],
+    }
+    svg = export_trace_svg(trace, grid)
+    lines = [line for line in svg.splitlines() if line.startswith("<line")]
+    assert [line.split(" stroke=")[0] for line in lines] == [
+        '<line x1="244" y1="244" x2="284" y2="244"',
+        '<line x1="284" y1="244" x2="244" y2="244"',
+    ]
+    assert '<use href="#take-star" x="284" y="222"/>' in svg
