@@ -10,7 +10,7 @@ import sys
 
 from . import runner
 from .generate import grid_from_dict
-from .llm import CassetteClient, ClientConfig, HttpChatClient, RecordingClient
+from .llm import CassetteClient, ClientConfig, HttpChatClient, LlmClientError, RecordingClient
 from .svg import export_trace_svg
 from .textgrid import render
 
@@ -116,6 +116,7 @@ def _make_client(args):
     if args.cassette:
         return CassetteClient(args.cassette), config
     client = HttpChatClient(config)
+    client.api_key()  # a live run without a credential fails before it starts
     if args.record_cassette:
         client = RecordingClient(client, args.record_cassette)
     return client, config
@@ -226,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileExistsError, FileNotFoundError, ValueError) as exc:
+    except (FileExistsError, FileNotFoundError, LlmClientError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -171,6 +171,8 @@ class ClientConfig:
         int also serves for a float; a bool for nothing) and bound."""
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError(f"client config {path} must hold a JSON object")
         defaults = vars(cls())
         for key, value in data.items():
             if key not in defaults:
@@ -207,12 +209,8 @@ class HttpChatClient:
         self._urlopen = urlopen  # None means urllib.request.urlopen
         self._sleep = sleep
 
-    def complete(self, bundle: PromptBundle) -> str:
-        # Imported here: cassette and baseline runs never load the HTTP stack.
-        import http.client
-        import urllib.request
-
-        urlopen = self._urlopen or urllib.request.urlopen
+    def api_key(self) -> str:
+        """The credential from the environment; LlmClientError without one."""
         api_key = os.environ.get(self.config.api_key_env) or os.environ.get(
             "OPENAI_API_KEY"
         )
@@ -220,6 +218,15 @@ class HttpChatClient:
             raise LlmClientError(
                 f"no API credential in ${self.config.api_key_env} or $OPENAI_API_KEY"
             )
+        return api_key
+
+    def complete(self, bundle: PromptBundle) -> str:
+        # Imported here: cassette and baseline runs never load the HTTP stack.
+        import http.client
+        import urllib.request
+
+        urlopen = self._urlopen or urllib.request.urlopen
+        api_key = self.api_key()
         request = urllib.request.Request(
             self.config.endpoint,
             data=json.dumps(bundle.request_body()).encode("utf-8"),

@@ -265,15 +265,14 @@ def _trace_filename(record: RunRecord) -> str:
     return f"{agent}__{flat}__r{record.replicate}.json"
 
 
-def write_trace(
-    traces_dir: str,
-    record: RunRecord,
-    instance: InstanceId,
-    result,
-    plan: ActionPlan | None = None,
+# json.dumps(payload, indent=1), with the encoder made once for every trace.
+_TRACE_ENCODER = json.JSONEncoder(indent=1)
+
+
+def trace_text(
+    record: RunRecord, instance: InstanceId, result, plan: ActionPlan | None = None
 ) -> str:
-    os.makedirs(traces_dir, exist_ok=True)
-    name = _trace_filename(record)
+    """One scored episode's trace file content."""
     payload = {
         "instance_id": record.instance_id,
         "constraints": instance.constraints().to_dict(),
@@ -289,8 +288,14 @@ def write_trace(
     if plan is not None:
         payload["raw_response"] = plan.raw_response
         payload["parse_notes"] = [list(note) for note in plan.parse_notes]
+    return _TRACE_ENCODER.encode(payload)
+
+
+def write_trace(traces_dir: str, record: RunRecord, text: str) -> str:
+    """Write a record's trace into an existing directory; returns its file name."""
+    name = _trace_filename(record)
     with open(os.path.join(traces_dir, name), "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+        handle.write(text)
     return name
 
 
@@ -400,6 +405,44 @@ def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
     return records
 
 
+_GRIDS_PER_FORKED_TASK = 12
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int, work):
+    """A pool of ``workers`` forked processes, each holding ``work`` for
+    ``_run_forked``; None for fewer than two workers or without fork."""
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs load it
+
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_hold_work,
+        initargs=(work,),
+    )
+
+
+def _hold_work(work) -> None:
+    """Pool initializer: keeps ``work``, handed over by fork, in this worker
+    only; the parent's globals are left alone."""
+    global _forked_work
+    _forked_work = work
+
+
+def _run_forked(task):
+    return _forked_work(task)
+
+
 def run_suite(
     benchmark: Benchmark,
     agent_spec: str,
@@ -418,14 +461,21 @@ def run_suite(
     per (instance, replicate) and skipping records already present.
 
     ``concurrency`` is the number of requests in flight to the LLM client,
-    one grid's instances per thread; baselines are CPU work and run
-    serially. A results file is resumed only under the suite seed, grid
+    one grid's instances per thread. Baselines are CPU work: with more than
+    one grid pending they run on forked worker processes, one per usable
+    CPU, where fork exists. Either way the workers only play and encode;
+    this process writes each trace and then its record, in the serial
+    order. A results file is resumed only under the suite seed, grid
     master seed and ``resample_invalid`` its meta file names.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    if parse_agent(agent_spec)[0] != "llm" and concurrency > 1:
-        raise ValueError(f"{agent_spec} runs serially; concurrency is for LLM clients")
+    is_llm = parse_agent(agent_spec)[0] == "llm"
+    if not is_llm and concurrency > 1:
+        raise ValueError(
+            f"concurrency is for LLM clients; {agent_spec} runs serially "
+            "or on one worker process per CPU"
+        )
     instances = enumerate_instances(index_lo, index_hi)
     meta_path = out_path + ".meta.json"
     identity = {
@@ -452,6 +502,8 @@ def run_suite(
     ]
     traces_dir = os.path.join(os.path.dirname(out_path) or ".", "traces")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    if write_traces:
+        os.makedirs(traces_dir, exist_ok=True)
 
     meta = {
         **identity,
@@ -466,40 +518,58 @@ def run_suite(
     with open(meta_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=1, sort_keys=True)
 
-    def work(chunk):
-        memo: dict = {}
-        return [
-            (instance, run_one(benchmark, agent_spec, instance, replicate, suite_seed,
-                               resample_invalid=resample_invalid, client=client, memo=memo))
-            for instance, replicate in chunk
-        ]
+    def work(task):
+        """(record, trace text or None) per item of a task's grids, each a
+        list of one grid's pending items that share one memo."""
+        pairs = []
+        for items in task:
+            memo: dict = {}
+            for instance, replicate in items:
+                record, result, plan = run_one(
+                    benchmark, agent_spec, instance, replicate, suite_seed,
+                    resample_invalid=resample_invalid, client=client, memo=memo,
+                )
+                text = None
+                if write_traces and record.status == "scored":
+                    text = trace_text(record, instance, result, plan)
+                pairs.append((record, text))
+        return pairs
 
-    # pending is grid-major, so one chunk per grid has one thread fill that
-    # grid's cache entry and the chunk's memo, and the flattened chunks keep
-    # the serial order.
-    chunks = [
-        list(chunk) for _, chunk in itertools.groupby(pending, lambda item: item[0].grid_key)
+    # pending is grid-major, so one task per grid has one thread fill that
+    # grid's cache entry and memo, and the flattened tasks keep the serial
+    # order. A forked worker takes a few grids per task, to pay the pickling
+    # round trip less often.
+    grids = [
+        list(items) for _, items in itertools.groupby(pending, lambda item: item[0].grid_key)
     ]
+    per_task = 1
+    run_task = work
     pool = None
     if concurrency > 1:
         from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it
 
         pool = ThreadPoolExecutor(concurrency)
+    elif not is_llm and len(grids) > 1:
+        workers = min(_usable_cpus(), len(grids))
+        pool = _fork_pool(workers, work)
+        if pool is not None:
+            per_task = min(_GRIDS_PER_FORKED_TASK, math.ceil(len(grids) / workers))
+            run_task = _run_forked
+    tasks = [grids[lo:lo + per_task] for lo in range(0, len(grids), per_task)]
     scored = unscored = 0
     # Line-buffered: each record reaches the file as it is written, so a
-    # crash loses at most the line being written.
+    # crash loses at most the line being written. Each trace is written
+    # before its record, so every record on disk names a trace on disk.
     with (open(out_path, "a", encoding="utf-8", buffering=1) as out,
           pool or contextlib.nullcontext()):
-        outcomes = (pool.map if pool else map)(work, chunks)
-        for instance, (record, result, plan) in itertools.chain.from_iterable(outcomes):
+        outcomes = (pool.map if pool else map)(run_task, tasks)
+        for record, text in itertools.chain.from_iterable(outcomes):
             if record.status == "scored":
                 scored += 1
-                if write_traces:
-                    record.trace_path = os.path.join(
-                        "traces", write_trace(traces_dir, record, instance, result, plan)
-                    )
             else:
                 unscored += 1
+            if text is not None:
+                record.trace_path = os.path.join("traces", write_trace(traces_dir, record, text))
             out.write(json.dumps(record.to_dict()) + "\n")
     return {
         "instances": len(instances),

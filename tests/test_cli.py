@@ -97,6 +97,33 @@ def test_run_rejects_a_bad_client_config(tmp_path, capsys):
     assert not os.path.exists(results)
 
 
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "client.json"
+    config.write_text("[1]")
+    results = str(tmp_path / "llm.jsonl")
+    code, _, err = run_cli(capsys, "run", "--agent", "llm:m", "--out", results,
+                           "--subset", "0..0", "--llm-config", str(config))
+    assert code == 1
+    assert err == f"error: client config {config} must hold a JSON object\n"
+    assert not os.path.exists(results)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_live_run_without_a_credential_refuses_to_start(tmp_path, capsys, monkeypatch,
+                                                        record):
+    monkeypatch.delenv("GRASP_API_KEY", raising=False)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    results = str(tmp_path / "llm.jsonl")
+    argv = ["run", "--agent", "llm:m", "--out", results, "--subset", "0..0"]
+    if record:
+        argv += ["--record-cassette", str(tmp_path / "cassette.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no API credential in $GRASP_API_KEY or $OPENAI_API_KEY\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_resume_via_cli(tmp_path, capsys):
     results = str(tmp_path / "results.jsonl")
     args = ("run", "--agent", "greedy", "--out", results, "--subset", "0..0", "--json")

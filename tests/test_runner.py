@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -283,21 +284,90 @@ def test_run_suite_pool_generates_each_grid_once(tmp_path, monkeypatch):
     assert len(set(calls)) == 20
 
 
-def test_greedy_plans_once_per_grid_and_action_set(tmp_path, monkeypatch):
-    from grasp import agents
+def test_greedy_plans_once_per_grid_and_action_set(tmp_path, monkeypatch, forked_pools):
+    from grasp import agents, runner
 
-    plans = []
+    # The plans are made in forked workers, which inherit the patch; each
+    # appends its plans, with its process id, to one file.
+    log = tmp_path / "plans.txt"
 
     def counted(grid, action_set, rng):
-        plans.append((grid.spec.grid_id, action_set))
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {grid.spec.grid_id} {action_set.value}\n")
         return greedy_plan(grid, action_set, rng)
 
     monkeypatch.setattr(agents, "greedy_plan", counted)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
     summary = run_suite(Benchmark.from_seed(0), "greedy", str(tmp_path / "g.jsonl"),
                         index_lo=0, index_hi=0, write_traces=False)
     assert summary["scored"] == 160
+    assert forked_pools == [2]
+    pids, plans = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+    assert str(os.getpid()) not in pids
     assert len(plans) == 40
     assert len(set(plans)) == 40
+
+
+@pytest.fixture
+def forked_pools(monkeypatch):
+    """The worker count of each process pool started while the test runs."""
+    import concurrent.futures
+
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Counted(real):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+def _lines_without_timestamps(path):
+    return [re.sub(r'"(started|finished)_at": "[^"]*"', "", line)
+            for line in path.read_text(encoding="utf-8").splitlines(keepends=True)]
+
+
+@pytest.mark.parametrize("agent", ["greedy", "random-walk"])
+def test_forked_workers_write_the_serial_bytes(tmp_path, monkeypatch, forked_pools, agent):
+    from grasp import runner
+
+    walk = agent == "random-walk"
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda n=cpus: n)
+        out_dir = tmp_path / f"cpus{cpus}"
+        run_suite(Benchmark.from_seed(0), agent, str(out_dir / "r.jsonl"),
+                  index_lo=0, index_hi=1, replicates=2 if walk else 1,
+                  resample_invalid=walk)
+        traces = {name: (out_dir / "traces" / name).read_bytes()
+                  for name in sorted(os.listdir(out_dir / "traces"))}
+        outputs.append((_lines_without_timestamps(out_dir / "r.jsonl"), traces))
+    assert forked_pools == [2]
+    assert len(outputs[0][0]) == len(outputs[0][1]) == (640 if walk else 320)
+    assert outputs[0] == outputs[1]
+
+
+def test_resume_with_at_most_one_grid_pending_starts_no_pool(
+    tmp_path, monkeypatch, forked_pools
+):
+    from grasp import runner
+
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    out = tmp_path / "g.jsonl"
+    run_suite(Benchmark.from_seed(0), "greedy", str(out), index_lo=0, index_hi=0)
+    assert forked_pools == [2]
+    full = _lines_without_timestamps(out)
+    # The last 8 records are the last grid's: its 2 action sets x 4 arms.
+    out.write_text("".join(out.read_text().splitlines(keepends=True)[:-8]))
+    summary = run_suite(Benchmark.from_seed(0), "greedy", str(out), index_lo=0, index_hi=0)
+    assert (summary["scored"], summary["skipped_existing"]) == (8, 152)
+    assert _lines_without_timestamps(out) == full
+    summary = run_suite(Benchmark.from_seed(0), "greedy", str(out), index_lo=0, index_hi=0)
+    assert (summary["scored"], summary["skipped_existing"]) == (0, 160)
+    assert forked_pools == [2]
 
 
 def _without_timestamps(path):
