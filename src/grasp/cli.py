@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--benchmark", help="benchmark directory for the grid")
     trace.add_argument("--seed", type=int,
                        help="master seed to regenerate the grid instead")
-    trace.add_argument("--out", help="output SVG path (default: trace path + .svg)")
+    trace.add_argument("--out", help="output SVG path (default: the trace path ending .svg)")
     trace.add_argument("--json", action="store_true")
     return parser
 
@@ -186,15 +186,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _default_figure_path(trace_path: str) -> str:
-    # traces/<id>.json becomes figures/<id>.svg next to the traces directory
-    directory, name = os.path.split(os.path.abspath(trace_path))
-    stem = name[:-5] if name.endswith(".json") else name
-    if os.path.basename(directory) == "traces":
-        return os.path.join(os.path.dirname(directory), "figures", stem + ".svg")
-    return os.path.join(directory, stem + ".svg")
-
-
 def cmd_trace(args) -> int:
     with open(args.trace, encoding="utf-8") as handle:
         trace = json.load(handle)
@@ -208,7 +199,7 @@ def cmd_trace(args) -> int:
         return 1
     grid = bench.grid(instance)
     svg = export_trace_svg(trace, grid)
-    out = args.out or _default_figure_path(args.trace)
+    out = args.out or os.path.splitext(args.trace)[0] + ".svg"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(svg)

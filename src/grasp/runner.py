@@ -109,18 +109,18 @@ def enumerate_instances(index_lo: int = 0, index_hi: int = 99) -> list[InstanceI
 class Benchmark:
     """Grid provider, either generated on demand from a master seed or
     loaded lazily from a directory written by ``write_benchmark``, whose
-    manifest then supplies ``master_seed``."""
+    manifest then supplies ``master_seed`` and ``per_combo``."""
 
     def __init__(self, master_seed: int | None = None, root: str | None = None):
         if (master_seed is None) == (root is None):
             raise ValueError("pass exactly one of master_seed or root")
         self.root = root
+        self.per_combo = None
         self._cache: dict[tuple[int, int, int, int], Grid] = {}
-        self._manifest = None
         if root is not None:
             with open(os.path.join(root, "manifest.json"), encoding="utf-8") as handle:
-                self._manifest = json.load(handle)
-            master_seed = self._manifest["master_seed"]
+                manifest = json.load(handle)
+            master_seed, self.per_combo = manifest["master_seed"], manifest["per_combo"]
         self.master_seed = master_seed
 
     @classmethod
@@ -140,9 +140,9 @@ class Benchmark:
         if self.root is None:
             grid = generate_grid(*identity, grid_seed(self.master_seed, *identity))
         else:
-            if instance.grid_index >= self._manifest["per_combo"]:
+            if instance.grid_index >= self.per_combo:
                 raise ValueError(
-                    f"benchmark at {self.root!r} holds {self._manifest['per_combo']} "
+                    f"benchmark at {self.root!r} holds {self.per_combo} "
                     f"grids per combination, index {instance.grid_index} not built"
                 )
             path = os.path.join(self.root, grid_rel_path(*identity) + ".json")
@@ -303,72 +303,68 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def run_one(
-    benchmark: Benchmark,
-    agent_spec: str,
-    instance: InstanceId,
-    replicate: int,
-    suite_seed: int,
-    resample_invalid: bool = False,
-    client=None,
-    memo: dict | None = None,
-) -> tuple[RunRecord, object, ActionPlan | None]:
-    """Execute one instance for one agent; never raises for LLM transport
-    failures, which come back as unscored records.
+@dataclass(frozen=True)
+class _GridJob:
+    """Plays one agent over one grid's pending items. A process pool
+    pickles the bound ``play`` into each chunk it sends a worker; a
+    baseline job holds no client, so that is a few small fields."""
 
-    ``memo`` holds what the instances of one grid share, made by the first
-    that needs it: the grid text under ``"text"`` and each baseline plan
-    under its record seed, which leaves out the carry limit and step cost.
-    """
-    kind, model = parse_agent(agent_spec)
-    seed = record_seed(suite_seed, instance, replicate)
-    grid = benchmark.grid(instance)
-    constraints = instance.constraints()
-    memo = {} if memo is None else memo
-    started = _now()
-    plan = None
-    if kind == "llm":
-        if client is None:
-            raise ValueError("an LLM agent needs a client (endpoint or cassette)")
-        if "text" not in memo:
-            memo["text"] = render(grid)
-        bundle = build_prompt(grid, constraints, model=model, text=memo["text"])
-        try:
-            raw = client.complete(bundle)
-        except LlmClientError as exc:
+    benchmark: Benchmark
+    agent: str
+    kind: str
+    model: str | None
+    suite_seed: int
+    resample_invalid: bool
+    write_traces: bool
+    client: object
+
+    def play(self, items: list[tuple[InstanceId, int]]) -> list[tuple[RunRecord, str | None]]:
+        """(record, trace text or None) for each (instance, replicate) of
+        one grid, in order. LLM transport failures come back as unscored
+        records, without a trace."""
+        grid = self.benchmark.grid(items[0][0])
+        text = render(grid) if self.kind == "llm" else None
+        # A baseline plan per record seed, which leaves out the carry limit
+        # and step cost: the four arms of an action set share it.
+        plans: dict[int, list] = {}
+        pairs = []
+        for instance, replicate in items:
+            seed = record_seed(self.suite_seed, instance, replicate)
+            constraints = instance.constraints()
+            head = dict(instance_id=instance.to_str(), agent=self.agent, seed=seed,
+                        replicate=replicate, started_at=_now())
+            plan = None
+            if self.kind == "llm":
+                bundle = build_prompt(grid, constraints, model=self.model, text=text)
+                try:
+                    raw = self.client.complete(bundle)
+                except LlmClientError as exc:
+                    error = f"{head['instance_id']}: {exc}"
+                    record = RunRecord(**head, status="unscored", error=error, finished_at=_now())
+                    pairs.append((record, None))
+                    continue
+                plan = parse_plan(raw)
+                actions = plan.actions
+            else:
+                if seed not in plans:
+                    plans[seed] = agents_mod.baseline_plan(
+                        self.kind, grid, instance.action_set, seed,
+                        resample_invalid=self.resample_invalid,
+                    )
+                actions = plans[seed]
+            result = run_episode(grid, constraints, actions)
             record = RunRecord(
-                instance_id=instance.to_str(),
-                agent=agent_spec,
-                seed=seed,
-                replicate=replicate,
-                status="unscored",
-                error=f"{instance.to_str()}: {exc}",
-                started_at=started,
+                **head,
+                status="scored",
+                length=result.length,
+                score=result.score,
+                energy_at_start=result.energy_at_start,
+                final_pos=result.final_pos,
                 finished_at=_now(),
             )
-            return (record, None, None)
-        plan = parse_plan(raw)
-        result = run_episode(grid, constraints, plan.actions)
-    else:
-        if seed not in memo:
-            memo[seed] = agents_mod.baseline_plan(
-                kind, grid, instance.action_set, seed, resample_invalid=resample_invalid
-            )
-        result = run_episode(grid, constraints, memo[seed])
-    record = RunRecord(
-        instance_id=instance.to_str(),
-        agent=agent_spec,
-        seed=seed,
-        replicate=replicate,
-        status="scored",
-        length=result.length,
-        score=result.score,
-        energy_at_start=result.energy_at_start,
-        final_pos=result.final_pos,
-        started_at=started,
-        finished_at=_now(),
-    )
-    return (record, result, plan)
+            trace = trace_text(record, instance, result, plan) if self.write_traces else None
+            pairs.append((record, trace))
+        return pairs
 
 
 def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
@@ -405,7 +401,7 @@ def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
     return records
 
 
-_GRIDS_PER_FORKED_TASK = 12
+_GRIDS_PER_FORKED_CHUNK = 12
 
 
 def _usable_cpus() -> int:
@@ -413,34 +409,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _fork_pool(workers: int, work):
-    """A pool of ``workers`` forked processes, each holding ``work`` for
-    ``_run_forked``; None for fewer than two workers or without fork."""
-    import multiprocessing
-
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs load it
-
-    return ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_hold_work,
-        initargs=(work,),
-    )
-
-
-def _hold_work(work) -> None:
-    """Pool initializer: keeps ``work``, handed over by fork, in this worker
-    only; the parent's globals are left alone."""
-    global _forked_work
-    _forked_work = work
-
-
-def _run_forked(task):
-    return _forked_work(task)
 
 
 def run_suite(
@@ -470,12 +438,14 @@ def run_suite(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    is_llm = parse_agent(agent_spec)[0] == "llm"
-    if not is_llm and concurrency > 1:
+    kind, model = parse_agent(agent_spec)
+    if kind != "llm" and concurrency > 1:
         raise ValueError(
             f"concurrency is for LLM clients; {agent_spec} runs serially "
             "or on one worker process per CPU"
         )
+    if kind == "llm" and client is None:
+        raise ValueError("an LLM agent needs a client (endpoint or cassette)")
     instances = enumerate_instances(index_lo, index_hi)
     meta_path = out_path + ".meta.json"
     identity = {
@@ -500,8 +470,12 @@ def run_suite(
         for replicate in range(replicates)
         if (instance.to_str(), agent_spec, replicate) not in existing
     ]
-    traces_dir = os.path.join(os.path.dirname(out_path) or ".", "traces")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    # Each results file has a traces directory of its own, named after it,
+    # so two results files in one directory never share a trace file.
+    out_dir = os.path.dirname(out_path) or "."
+    traces_name = os.path.splitext(os.path.basename(out_path))[0] + ".traces"
+    traces_dir = os.path.join(out_dir, traces_name)
+    os.makedirs(out_dir, exist_ok=True)
     if write_traces:
         os.makedirs(traces_dir, exist_ok=True)
 
@@ -518,58 +492,43 @@ def run_suite(
     with open(meta_path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=1, sort_keys=True)
 
-    def work(task):
-        """(record, trace text or None) per item of a task's grids, each a
-        list of one grid's pending items that share one memo."""
-        pairs = []
-        for items in task:
-            memo: dict = {}
-            for instance, replicate in items:
-                record, result, plan = run_one(
-                    benchmark, agent_spec, instance, replicate, suite_seed,
-                    resample_invalid=resample_invalid, client=client, memo=memo,
-                )
-                text = None
-                if write_traces and record.status == "scored":
-                    text = trace_text(record, instance, result, plan)
-                pairs.append((record, text))
-        return pairs
-
-    # pending is grid-major, so one task per grid has one thread fill that
-    # grid's cache entry and memo, and the flattened tasks keep the serial
-    # order. A forked worker takes a few grids per task, to pay the pickling
-    # round trip less often.
+    # pending is grid-major: one job per grid fetches the grid once, and the
+    # jobs' outcomes, in order, keep the serial order. A process pool sends
+    # its workers a few grids per chunk, to pay the pickling round trip less
+    # often.
     grids = [
         list(items) for _, items in itertools.groupby(pending, lambda item: item[0].grid_key)
     ]
-    per_task = 1
-    run_task = work
-    pool = None
+    play = _GridJob(benchmark, agent_spec, kind, model, suite_seed, resample_invalid,
+                    write_traces, client).play
+    workers = 1 if kind == "llm" else min(_usable_cpus(), len(grids))
+    pool, chunksize = None, 1
     if concurrency > 1:
         from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it
 
         pool = ThreadPoolExecutor(concurrency)
-    elif not is_llm and len(grids) > 1:
-        workers = min(_usable_cpus(), len(grids))
-        pool = _fork_pool(workers, work)
-        if pool is not None:
-            per_task = min(_GRIDS_PER_FORKED_TASK, math.ceil(len(grids) / workers))
-            run_task = _run_forked
-    tasks = [grids[lo:lo + per_task] for lo in range(0, len(grids), per_task)]
+    elif workers > 1:
+        import multiprocessing  # only pooled runs load it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            chunksize = min(_GRIDS_PER_FORKED_CHUNK, math.ceil(len(grids) / workers))
     scored = unscored = 0
     # Line-buffered: each record reaches the file as it is written, so a
     # crash loses at most the line being written. Each trace is written
     # before its record, so every record on disk names a trace on disk.
     with (open(out_path, "a", encoding="utf-8", buffering=1) as out,
           pool or contextlib.nullcontext()):
-        outcomes = (pool.map if pool else map)(run_task, tasks)
+        outcomes = pool.map(play, grids, chunksize=chunksize) if pool else map(play, grids)
         for record, text in itertools.chain.from_iterable(outcomes):
             if record.status == "scored":
                 scored += 1
             else:
                 unscored += 1
             if text is not None:
-                record.trace_path = os.path.join("traces", write_trace(traces_dir, record, text))
+                record.trace_path = os.path.join(traces_name, write_trace(traces_dir, record, text))
             out.write(json.dumps(record.to_dict()) + "\n")
     return {
         "instances": len(instances),

@@ -307,8 +307,8 @@ def test_run_rejects_bad_concurrency(tmp_path, capsys):
 
 def test_import_loads_no_thread_pool():
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("grasp").__file__)))
-    code = ("import sys, grasp; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    code = ("import sys, grasp.cli; print(sorted("
+            "{'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"

@@ -157,7 +157,7 @@ def outputs(tmp_path_factory):
     for name, results, grids in (("greedy", greedy, bench), ("walk", walk, Benchmark.from_seed(5)),
                                  ("llm", llm, bench)):
         got[f"{name}_records"] = _records_sha(results)
-        got[f"{name}_traces"] = _tree_sha(os.path.join(os.path.dirname(results), "traces"))
+        got[f"{name}_traces"] = _tree_sha(results[:-len(".jsonl")] + ".traces")
         got[f"{name}_meta"] = _meta_sha(results)
         got[f"{name}_svgs"] = _svgs_sha(results, grids)
 
@@ -178,11 +178,11 @@ GOLDEN = {
     "gen_content_hash": "f41eb03e48afb76eda076830d36de75e8b9a69c544df932e530e8a426ef043e8",
     "gen_files": "5351ae04e548e18af175b43dbed166fe88fa2089abfa45fb49d3e061d27bfc4c",
     "greedy_meta": "8f011ee4747fe3ea0a6c63081686af1c625045772d481e19e3b1b1502ab77762",
-    "greedy_records": "a2964f427754e1df848c4d306ab9f73d9a98b071b523e52f129a858e6970fbf8",
+    "greedy_records": "efea02589f3a644e865b73124051717b990cbc79bcef9ce5395b3dde2d816392",
     "greedy_svgs": "c77d2b004ebdf9003f3cc26df857f44e7ae564d7414a0e20becd6c1a764f83a1",
     "greedy_traces": "0082c1fe10b8cf03e7e24d4b017e12b664e59d27a951503f388fdb8d9c616531",
     "llm_meta": "9a4ab346e0123ef48f120bdefd83fb65874cd31ba07e0d0ac8b20bd615bb24d7",
-    "llm_records": "66b492c71e502cd4648ea9cbed54a92d0631af637c704a81b6c37950ddda2b21",
+    "llm_records": "aed12804d6b4152199460ec01b813e3c2ef7a38ecedc9422485ec6fd28b8c243",
     "llm_svgs": "3c3938f3cc73c790c83afbb52cc9d10daa35bd5ac89f9a091f2e92ca5468719d",
     "llm_traces": "a4f27810f848dacc050cc6535e3183789823a580b7f781726edff4024152ef14",
     "recorded_cassette": "d24f835045996fee5770db6d6a0552b9efd773e292780d2123d7a0834801c8f5",
@@ -191,7 +191,7 @@ GOLDEN = {
     "report_table": "d976bd4d2e555f3b2b364f42cfe346a9e99e1cf54d1dbd727469c2b00c8d3128",
     "request_key": "e48a91b098436262235573b6fce4d3987b86ff3f97a87b48c624f85a0a415307",
     "walk_meta": "954acac8cedaf1e9e3be66aa066660cd996b6fa8dbf07be5b8ba470670b1c3f0",
-    "walk_records": "ce7c8ac2f9a7bd6a2570e3835ff8ec2f8e0a20dc30f63aba8024e37e442d0b85",
+    "walk_records": "5deafee57836c35aa0cd0ad2019a1643031c9d57b6f322e562349e86dd81078a",
     "walk_svgs": "8cc533e322ff003f576590fa68c2d02e179d9866be0904670deb8c0bf0cf6adb",
     "walk_traces": "b04118bcd94db7e1ce402c8edbadef041400555a60af445e1e8ed1808c22e841",
 }

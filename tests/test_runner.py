@@ -172,6 +172,22 @@ def test_run_suite_traces_rescore(tmp_path):
     assert checked > 5
 
 
+def test_results_files_in_one_directory_keep_their_own_traces(tmp_path):
+    for seed in (0, 7):
+        run_suite(Benchmark.from_seed(seed), "greedy", str(tmp_path / f"s{seed}.jsonl"),
+                  index_lo=0, index_hi=0, suite_seed=seed)
+    for seed in (0, 7):
+        records = load_records(str(tmp_path / f"s{seed}.jsonl"))
+        for record in records:
+            trace = json.loads((tmp_path / record.trace_path).read_text())
+            assert (trace["instance_id"], trace["seed"]) == (record.instance_id, record.seed)
+        assert len({record.trace_path for record in records}) == len(records) == 160
+    assert sorted(os.listdir(tmp_path)) == [
+        "s0.jsonl", "s0.jsonl.meta.json", "s0.traces",
+        "s7.jsonl", "s7.jsonl.meta.json", "s7.traces",
+    ]
+
+
 def test_rescore_trace_rejects_another_grid(tmp_path):
     out = str(tmp_path / "results.jsonl")
     bench = Benchmark.from_seed(5)
@@ -216,14 +232,16 @@ def test_load_records_torn_last_line(tmp_path, capsys):
         load_records(str(path))
 
 
-def _cassette_for(tmp_path, index_hi=0):
-    """A cassette answering every instance of grids 0..index_hi at seed 0."""
+def _cassette_for(tmp_path, index_hi=0, drop_every=None):
+    """A cassette answering the instances of grids 0..index_hi at seed 0:
+    every one, or all but each ``drop_every``-th."""
     bench = Benchmark.from_seed(0)
     replies = ["[RIGHT, TAKE, LEFT, DROP]", "[TAKE, DROP]", "no list", "[UP, FLY, DOWN]"]
     entries = [
         (build_prompt(bench.grid(instance), instance.constraints(), model="m").request_body(),
          replies[number % len(replies)])
         for number, instance in enumerate(enumerate_instances(0, index_hi))
+        if drop_every is None or number % drop_every != drop_every - 1
     ]
     path = str(tmp_path / "cassette.json")
     write_cassette(path, entries)
@@ -233,7 +251,8 @@ def _cassette_for(tmp_path, index_hi=0):
 def test_run_suite_concurrency_same_bytes(tmp_path):
     from grasp.llm import CassetteClient
 
-    cassette = _cassette_for(tmp_path, index_hi=1)
+    # Every seventh request has no reply, so its record comes back unscored.
+    cassette = _cassette_for(tmp_path, index_hi=1, drop_every=7)
     outputs = []
     for concurrency in (1, 4):
         out_dir = tmp_path / f"c{concurrency}"
@@ -245,11 +264,15 @@ def test_run_suite_concurrency_same_bytes(tmp_path):
             record = json.loads(line)
             del record["started_at"], record["finished_at"]
             records.append(record)
-        traces = {name: (out_dir / "traces" / name).read_bytes()
-                  for name in sorted(os.listdir(out_dir / "traces"))}
+        traces = {name: (out_dir / "llm.traces" / name).read_bytes()
+                  for name in sorted(os.listdir(out_dir / "llm.traces"))}
         outputs.append((records, traces))
-    assert len(outputs[0][0]) == 320
-    assert len(outputs[0][1]) == 320
+    records, traces = outputs[0]
+    unscored = [record for record in records if record["status"] == "unscored"]
+    assert len(records) == 320
+    assert len(unscored) == 45
+    assert all(record["error"] and record["trace_path"] is None for record in unscored)
+    assert len(traces) == 320 - 45
     assert outputs[0] == outputs[1]
 
 
@@ -330,20 +353,29 @@ def _lines_without_timestamps(path):
             for line in path.read_text(encoding="utf-8").splitlines(keepends=True)]
 
 
-@pytest.mark.parametrize("agent", ["greedy", "random-walk"])
-def test_forked_workers_write_the_serial_bytes(tmp_path, monkeypatch, forked_pools, agent):
+@pytest.mark.parametrize("agent, from_dir", [
+    pytest.param("greedy", False, id="greedy"),
+    pytest.param("random-walk", False, id="random-walk"),
+    pytest.param("greedy", True, id="greedy-from-dir"),
+])
+def test_forked_workers_write_the_serial_bytes(
+    tmp_path, monkeypatch, forked_pools, agent, from_dir
+):
     from grasp import runner
 
     walk = agent == "random-walk"
+    if from_dir:
+        write_benchmark(str(tmp_path / "bench"), master_seed=0, per_combo=2)
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(runner, "_usable_cpus", lambda n=cpus: n)
         out_dir = tmp_path / f"cpus{cpus}"
-        run_suite(Benchmark.from_seed(0), agent, str(out_dir / "r.jsonl"),
+        bench = Benchmark.from_dir(str(tmp_path / "bench")) if from_dir else Benchmark.from_seed(0)
+        run_suite(bench, agent, str(out_dir / "r.jsonl"),
                   index_lo=0, index_hi=1, replicates=2 if walk else 1,
                   resample_invalid=walk)
-        traces = {name: (out_dir / "traces" / name).read_bytes()
-                  for name in sorted(os.listdir(out_dir / "traces"))}
+        traces = {name: (out_dir / "r.traces" / name).read_bytes()
+                  for name in sorted(os.listdir(out_dir / "r.traces"))}
         outputs.append((_lines_without_timestamps(out_dir / "r.jsonl"), traces))
     assert forked_pools == [2]
     assert len(outputs[0][0]) == len(outputs[0][1]) == (640 if walk else 320)
@@ -396,8 +428,8 @@ def test_resume_from_limit_arms_matches_full_run(tmp_path, agent):
     assert summary["skipped_existing"] == len(kept) == 320
     assert summary["scored"] == 320
     assert _without_timestamps(part / "r.jsonl") == _without_timestamps(full / "r.jsonl")
-    for name in os.listdir(part / "traces"):
-        assert (part / "traces" / name).read_bytes() == (full / "traces" / name).read_bytes()
+    for name in os.listdir(part / "r.traces"):
+        assert (part / "r.traces" / name).read_bytes() == (full / "r.traces" / name).read_bytes()
 
 
 def test_llm_run_renders_each_grid_once(tmp_path, monkeypatch):
@@ -446,7 +478,7 @@ def test_crash_keeps_every_record_written(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CRASHING_RUN, str(out)],
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1
-    assert len(os.listdir(tmp_path / "traces")) == 16
+    assert len(os.listdir(tmp_path / "llm.traces")) == 16
     lines = out.read_text().splitlines(keepends=True)
     assert len(lines) == 16
     assert all(line.endswith("\n") for line in lines)
