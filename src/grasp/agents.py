@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .env import MAX_STEPS, MOVE_DELTAS, Action, ActionSet, complement
+from .env import MAX_STEPS, Action, ActionSet, complement, destination
 from .generate import Grid
 from .rng import Generator, generator
 
@@ -41,22 +41,12 @@ def random_walk_plan(
             raise ValueError("resample_invalid needs the grid")
         pos = grid.start
     for _ in range(WALK_TRIPS):
-        options = list(action_set.moves)
+        options = action_set.moves
         if resample_invalid:
-            valid = []
-            for move in options:
-                dr, dc = MOVE_DELTAS[move]
-                row, col = pos[0] + dr, pos[1] + dc
-                if grid.in_bounds(row, col) and not grid.obstacles[row][col]:
-                    valid.append(move)
-            if valid:
-                options = valid
+            options = [m for m in options if destination(grid, pos, m)] or options
         move = options[int(rng.integers(0, len(options)))]
         if resample_invalid:
-            dr, dc = MOVE_DELTAS[move]
-            row, col = pos[0] + dr, pos[1] + dc
-            if grid.in_bounds(row, col) and not grid.obstacles[row][col]:
-                pos = (row, col)
+            pos = destination(grid, pos, move) or pos
         moves.append(move)
     plan: list[Action] = []
     for move in moves:
@@ -98,13 +88,8 @@ def greedy_plan_step(
         moves = action_set.moves
         for idx in rng.permutation(len(moves)):
             action = moves[int(idx)]
-            dr, dc = MOVE_DELTAS[action]
-            neighbor = (current[0] + dr, current[1] + dc)
-            if (
-                not grid.in_bounds(*neighbor)
-                or grid.obstacles[neighbor[0]][neighbor[1]]
-                or neighbor in visited
-            ):
+            neighbor = destination(grid, current, action)
+            if neighbor is None or neighbor in visited:
                 continue
             visited.add(neighbor)
             parents[neighbor] = (current, action)
@@ -142,8 +127,7 @@ def greedy_plan(grid: Grid, action_set: ActionSet, rng: Generator) -> list[Actio
             plan.append(Action.DROP)
             return plan
         for action in path:
-            dr, dc = MOVE_DELTAS[action]
-            pos = (pos[0] + dr, pos[1] + dc)
+            pos = destination(grid, pos, action)
         plan.extend(path)
         plan.append(Action.TAKE)
         past.extend(path)

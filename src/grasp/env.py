@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .generate import Grid
+from .generate import GRID_SIZE, Grid
 
 MAX_STEPS = 20
 
@@ -62,6 +62,16 @@ MU2 = MU1 + (Action.UPLEFT, Action.UPRIGHT, Action.DOWNLEFT, Action.DOWNRIGHT)
 def complement(action: Action) -> Action:
     """The movement that exactly reverses the given one."""
     return COMPLEMENTS[action]
+
+
+def destination(grid: Grid, pos: tuple[int, int], move: Action) -> tuple[int, int] | None:
+    """The cell a move leads to from ``pos``, or None when that cell is off
+    the grid or an obstacle: the one rule for whether a move applies."""
+    dr, dc = MOVE_DELTAS[move]
+    row, col = pos[0] + dr, pos[1] + dc
+    if 0 <= row < GRID_SIZE and 0 <= col < GRID_SIZE and not grid.obstacles[row][col]:
+        return (row, col)
+    return None
 
 
 class ActionSet(str, Enum):
@@ -167,11 +177,10 @@ class EpisodeState:
         if action in MOVE_DELTAS:
             if action not in self.constraints.action_set.moves:
                 return Effect.NOOP
-            dr, dc = MOVE_DELTAS[action]
-            row, col = self.agent_pos[0] + dr, self.agent_pos[1] + dc
-            if not self.grid.in_bounds(row, col) or self.grid.obstacles[row][col]:
+            target = destination(self.grid, self.agent_pos, action)
+            if target is None:
                 return Effect.NOOP
-            self.agent_pos = (row, col)
+            self.agent_pos = target
             return Effect.APPLIED
         if action is Action.TAKE:
             row, col = self.agent_pos

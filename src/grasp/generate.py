@@ -119,9 +119,6 @@ class Grid:
     def copy_energy(self) -> list[list[int]]:
         return [row[:] for row in self.energy]
 
-    def in_bounds(self, row: int, col: int) -> bool:
-        return 0 <= row < GRID_SIZE and 0 <= col < GRID_SIZE
-
 
 def sample_params(kind: DistributionKind, rng: Generator) -> DistributionParams:
     """Draw the per-instance parameters for one distribution kind.

@@ -259,9 +259,12 @@ class HttpChatClient:
 
 def _extract_content(body: bytes) -> str:
     try:
-        return json.loads(body)["choices"][0]["message"]["content"]
+        content = json.loads(body)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise LlmClientError(f"malformed response payload: {exc}") from exc
+    if not isinstance(content, str):  # a refusal comes with a null content
+        raise LlmClientError("malformed response payload: no text content")
+    return content
 
 
 def write_cassette(path: str, entries: list[tuple[dict, str]]) -> None:

@@ -131,6 +131,14 @@ class Benchmark:
     def from_dir(cls, root: str) -> "Benchmark":
         return cls(root=root)
 
+    def check_index(self, index: int) -> None:
+        """Refuse a grid index past the grids a benchmark directory holds."""
+        if self.per_combo is not None and index >= self.per_combo:
+            raise ValueError(
+                f"benchmark at {self.root!r} holds {self.per_combo} "
+                f"grids per combination, index {index} not built"
+            )
+
     def grid(self, instance: InstanceId) -> Grid:
         identity = instance.grid_key
         key = grid_parts(identity)
@@ -140,11 +148,7 @@ class Benchmark:
         if self.root is None:
             grid = generate_grid(*identity, grid_seed(self.master_seed, *identity))
         else:
-            if instance.grid_index >= self.per_combo:
-                raise ValueError(
-                    f"benchmark at {self.root!r} holds {self.per_combo} "
-                    f"grids per combination, index {instance.grid_index} not built"
-                )
+            self.check_index(instance.grid_index)
             path = os.path.join(self.root, grid_rel_path(*identity) + ".json")
             with open(path, encoding="utf-8") as handle:
                 grid = grid_from_dict(json.load(handle))
@@ -446,6 +450,7 @@ def run_suite(
         )
     if kind == "llm" and client is None:
         raise ValueError("an LLM agent needs a client (endpoint or cassette)")
+    benchmark.check_index(index_hi)
     instances = enumerate_instances(index_lo, index_hi)
     meta_path = out_path + ".meta.json"
     identity = {

@@ -7,7 +7,7 @@ issued. Output bytes are a pure function of (trace, grid).
 
 from __future__ import annotations
 
-from .env import MOVE_DELTAS, Action, Effect, replay
+from .env import MOVE_DELTAS, Action, Effect, destination, replay
 from .generate import GRID_SIZE, Grid
 
 CELL = 40
@@ -59,8 +59,7 @@ def export_trace_svg(trace: dict, grid: Grid) -> str:
             takes.append((r0, c0))
         if action not in MOVE_DELTAS or effect is not Effect.APPLIED:
             continue
-        dr, dc = MOVE_DELTAS[action]
-        r1, c1 = r0 + dr, c0 + dc
+        r1, c1 = destination(grid, (r0, c0), action)
         x0 = MARGIN + c0 * CELL + CELL // 2
         y0 = MARGIN + r0 * CELL + CELL // 2
         x1 = MARGIN + c1 * CELL + CELL // 2

@@ -14,7 +14,7 @@ from grasp.env import (
     complement,
     run_episode,
 )
-from grasp.generate import DistributionKind, StartMode, generate_grid
+from grasp.generate import GRID_SIZE, DistributionKind, StartMode, generate_grid
 from grasp.rng import generator
 
 FREE = ConstraintSet()
@@ -116,11 +116,17 @@ def test_greedy_takes_energy_in_current_cell():
 
 
 def test_greedy_unique_shortest_path():
-    grid = make_grid(start=(5, 5), energy=[(5, 7)])
-    path = greedy_plan_step(
-        grid, grid.copy_energy(), (5, 5), 20, ActionSet.MU1, generator(0), []
-    )
-    assert path == [Action.RIGHT, Action.RIGHT]
+    cases = [
+        ([(5, 7)], [], ActionSet.MU1, [Action.RIGHT, Action.RIGHT]),
+        # a diagonal between two orthogonal obstacles is open, as in the simulator
+        ([(4, 4)], [(4, 5), (5, 4)], ActionSet.MU2, [Action.UPLEFT]),
+    ]
+    for energy, obstacles, action_set, expected in cases:
+        grid = make_grid(start=(5, 5), energy=energy, obstacles=obstacles)
+        path = greedy_plan_step(
+            grid, grid.copy_energy(), (5, 5), 20, action_set, generator(0), []
+        )
+        assert path == expected
 
 
 def test_greedy_budget_forces_retreat():
@@ -179,7 +185,7 @@ def test_greedy_path_length_matches_oracle():
                 for action in path:
                     dr, dc = MOVE_DELTAS[action]
                     pos = (pos[0] + dr, pos[1] + dc)
-                    assert grid.in_bounds(*pos)
+                    assert 0 <= pos[0] < GRID_SIZE and 0 <= pos[1] < GRID_SIZE
                     assert not grid.obstacles[pos[0]][pos[1]]
                 assert belief[pos[0]][pos[1]] >= 1
 

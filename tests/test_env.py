@@ -72,10 +72,17 @@ def test_boundary_blocks_and_counts():
 
 
 def test_obstacle_blocks():
-    grid = make_grid(start=(5, 5), obstacles=[(5, 6)])
-    state = EpisodeState(grid, FREE)
-    assert state.step(Action.RIGHT) is Effect.NOOP
-    assert state.agent_pos == (5, 5)
+    mu2 = ConstraintSet(action_set=ActionSet.MU2)
+    cases = [
+        ([(5, 6)], FREE, Action.RIGHT, Effect.NOOP, (5, 5)),
+        # only the target cell counts: a diagonal between two orthogonal
+        # obstacles still applies
+        ([(4, 5), (5, 4)], mu2, Action.UPLEFT, Effect.APPLIED, (4, 4)),
+    ]
+    for obstacles, constraints, action, effect, pos in cases:
+        state = EpisodeState(make_grid(start=(5, 5), obstacles=obstacles), constraints)
+        assert state.step(action) is effect
+        assert state.agent_pos == pos
 
 
 def test_take_drop_round_trip():

@@ -242,13 +242,17 @@ def test_http_client_requires_credential(bundle, monkeypatch):
 
 
 def test_http_client_malformed_payload(bundle, credential):
-    urlopen = FakeUrlopen([FakeResponse(raw=b'{"unexpected": []}'), FakeResponse(raw=b"<html>")])
+    # a null content is what chat APIs send beside a refusal
+    responses = [
+        FakeResponse(raw=b'{"unexpected": []}'), FakeResponse(raw=b"<html>"),
+        FakeResponse(content=None),
+    ]
+    urlopen = FakeUrlopen(responses)
     client = HttpChatClient(ClientConfig(), urlopen=urlopen, sleep=lambda s: None)
-    with pytest.raises(LlmClientError, match="malformed"):
-        client.complete(bundle)
-    with pytest.raises(LlmClientError, match="malformed"):
-        client.complete(bundle)
-    assert len(urlopen.calls) == 2
+    for _ in responses:
+        with pytest.raises(LlmClientError, match="malformed"):
+            client.complete(bundle)
+    assert len(urlopen.calls) == 3
 
 
 def test_client_config_from_file(tmp_path):

@@ -111,13 +111,24 @@ def test_benchmark_requires_exactly_one_source(tmp_path):
         Benchmark(master_seed=1, root=str(tmp_path))
 
 
-def test_benchmark_dir_rejects_unbuilt_index(tmp_path):
+def test_benchmark_dir_rejects_unbuilt_index(tmp_path, monkeypatch):
+    from grasp import runner
+
     out = tmp_path / "bench"
     write_benchmark(str(out), master_seed=1, per_combo=1)
     bench = Benchmark.from_dir(str(out))
     beyond = enumerate_instances(5, 5)[0]
     with pytest.raises(ValueError, match="not built"):
         bench.grid(beyond)
+    # a run whose subset passes the built grids is refused before it writes
+    # anything, on the serial path every LLM run takes
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    results = tmp_path / "run" / "results.jsonl"
+    with pytest.raises(ValueError, match="not built"):
+        run_suite(bench, "greedy", str(results), index_lo=0, index_hi=1)
+    assert not results.exists()
+    assert not (tmp_path / "run" / "results.jsonl.meta.json").exists()
+    assert not (tmp_path / "run" / "results.traces").exists()
 
 
 def test_run_suite_random_walk(tmp_path):
