@@ -110,9 +110,6 @@ class Grid:
             return "E"
         return " "
 
-    def total_energy(self) -> int:
-        return sum(sum(row) for row in self.energy)
-
     def obstacle_count(self) -> int:
         return sum(sum(row) for row in self.obstacles)
 

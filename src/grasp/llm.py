@@ -94,10 +94,10 @@ def build_prompt(
 ) -> PromptBundle:
     """Assemble the system and user messages for one benchmark instance.
 
-    The obstacle wording follows the grid's generation flag; for grids parsed
-    from text (no generation record) it follows whether any obstacle cell is
-    present. ``text``, when given, is ``render(grid)`` made once for all of
-    the grid's instances.
+    The obstacle wording follows the grid's generation flag; for hand-built
+    grids with no spec it follows whether any obstacle cell is present.
+    ``text``, when given, is ``render(grid)`` made once for all of the
+    grid's instances.
     """
     if grid.spec is not None:
         has_obstacles = grid.spec.has_obstacles

@@ -438,7 +438,8 @@ def run_suite(
     CPU, where fork exists. Either way the workers only play and encode;
     this process writes each trace and then its record, in the serial
     order. A results file is resumed only under the suite seed, grid
-    master seed and ``resample_invalid`` its meta file names.
+    master seed and ``resample_invalid`` its meta file names; one that
+    holds records but has no meta file is refused.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
@@ -459,8 +460,13 @@ def run_suite(
         "resample_invalid": resample_invalid,
     }
     if os.path.exists(out_path) and os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as handle:
-            previous = json.load(handle)
+        try:
+            with open(meta_path, encoding="utf-8") as handle:
+                previous = json.load(handle)
+            if not isinstance(previous, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:
+            raise ValueError(f"meta file {meta_path} does not parse: {exc}") from None
         clashes = [
             f"{key.replace('_', ' ')} {previous[key]}, not {value}"
             for key, value in identity.items()
@@ -468,6 +474,8 @@ def run_suite(
         ]
         if clashes:
             raise ValueError(f"{out_path} holds records of {'; '.join(clashes)}")
+    elif os.path.exists(out_path) and os.path.getsize(out_path):
+        raise ValueError(f"{out_path} holds records but its meta file {meta_path} is missing")
     existing = {record.key() for record in load_records(out_path, truncate_torn=True)}
     pending = [
         (instance, replicate)
@@ -494,8 +502,10 @@ def run_suite(
     }
     if config_echo:
         meta.update(config_echo)
-    with open(meta_path, "w", encoding="utf-8") as handle:
+    # Written aside and renamed into place, so a crash never leaves a torn one.
+    with open(meta_path + ".tmp", "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=1, sort_keys=True)
+    os.replace(meta_path + ".tmp", meta_path)
 
     # pending is grid-major: one job per grid fetches the grid once, and the
     # jobs' outcomes, in order, keep the serial order. A process pool sends

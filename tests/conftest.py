@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from pathlib import Path
@@ -10,6 +11,15 @@ from grasp.env import MAX_STEPS, MOVE_DELTAS, Action
 from grasp.generate import GRID_SIZE, Grid
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# perfbench's reference, which shares no code with grasp, loaded by path:
+# putting perfbench/ on sys.path would let its modules shadow others.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).parent.parent / "perfbench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def fixture_text(*parts: str) -> str:
@@ -33,6 +43,12 @@ def make_grid(
     for r, c in obstacles:
         o[r][c] = True
     return Grid(energy=e, obstacles=o, start=tuple(start), spec=None)
+
+
+def grid_from_text(text: str) -> Grid:
+    """A grid read from its text form by the oracle's parser."""
+    ref = oracle.parse_grid_text(text)
+    return make_grid(start=ref.start, energy=ref.energy, obstacles=ref.obstacles)
 
 
 def shortest_distances(grid: Grid, start, moves) -> list[list[float]]:

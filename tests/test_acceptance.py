@@ -12,6 +12,7 @@ free-arm score minus 0.3 x length. The paper's figures stay in the report
 lines as not reproduced.
 """
 
+import hashlib
 import math
 import random
 from collections import defaultdict
@@ -22,6 +23,7 @@ import pytest
 from conftest import (
     PARSER_VECTORS,
     fixture_text,
+    grid_from_text,
     make_grid,
     nearest_energy_distance,
     reference_greedy_plan,
@@ -50,10 +52,13 @@ from grasp.runner import (
     record_seed,
     run_suite,
 )
-from grasp.textgrid import parse, render
+from grasp.textgrid import render
 
 MASTER_SEED = 0
 SUITE_SEED = 0
+# The sha256 over the rendered text of all 2,000 seed-0 grids, in build order:
+# the manifest hash of the full `gen`, and perfbench's seed-0 gen_content_hash.
+FULL_SET_CONTENT_HASH = "6c184e29ad9a278944cc81cefa5d533eac038b4012eed03f20d896b13999cfcf"
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -145,21 +150,30 @@ def test_criterion_2_renderer_goldens(full_build):
     golden_ok = True
     for name in ("figure_path", "random_p052"):
         text = fixture_text("grids", f"{name}.txt")
-        golden_ok = golden_ok and render(parse(text)) == text
+        golden_ok = golden_ok and render(grid_from_text(text)) == text
     round_trips = 0
+    hasher = hashlib.sha256()
     for grid in full_build:
-        back = parse(render(grid))
+        text = render(grid)
+        hasher.update(text.encode("utf-8"))
+        back = grid_from_text(text)
         if (
             back.energy == grid.energy
             and back.obstacles == grid.obstacles
             and back.start == grid.start
         ):
             round_trips += 1
-    ok = golden_ok and round_trips == len(full_build)
+    content_hash = hasher.hexdigest()
+    ok = (
+        golden_ok
+        and round_trips == len(full_build)
+        and content_hash == FULL_SET_CONTENT_HASH
+    )
     _report(
         "2 renderer goldens",
         ok,
-        f"goldens_byte_exact={golden_ok} round_trips={round_trips}/{len(full_build)}",
+        f"goldens_byte_exact={golden_ok} round_trips={round_trips}/{len(full_build)} "
+        f"content_hash={content_hash[:12]}",
     )
 
 
@@ -441,7 +455,7 @@ def test_criterion_7_prompt_goldens():
                     name = f"system_obs{obs}_mu{mu}_lim{lim}_cost{'0.3' if cost else '0'}.txt"
                     assert bundle.system == fixture_text("prompts", name)
                     checked += 1
-    example_grid = parse(fixture_text("grids", "prompt_example.txt"))
+    example_grid = grid_from_text(fixture_text("grids", "prompt_example.txt"))
     bundle = build_prompt(
         example_grid,
         ConstraintSet(action_set=ActionSet.MU1, carry_limit=2, step_cost=0.3),

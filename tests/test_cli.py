@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_gen_counts_and_idempotent_hash(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "gen", "--out", out_b, "--seed", "3",
                               "--per-combo", "1", "--json")
     assert json.loads(stdout)["content_hash"] == first["content_hash"]
-    manifest = json.load(open(os.path.join(out_a, "manifest.json")))
+    manifest = json.loads(Path(out_a, "manifest.json").read_text())
     assert manifest["count"] == 20
     assert len(manifest["grids"]) == 20
 
@@ -49,7 +50,7 @@ def test_render_prints_24_lines(tmp_path, capsys):
     assert code == 0
     lines = stdout.split("\n")[:-1]
     assert len(lines) == 24
-    txt = open(grid_json.replace(".json", ".txt")).read()
+    txt = Path(grid_json.replace(".json", ".txt")).read_text()
     assert stdout == txt
 
 
@@ -169,7 +170,7 @@ def test_run_llm_concurrency_from_config(tmp_path, capsys):
         "--cassette", cassette, "--llm-config", str(config), "--json",
     )
     assert code == 0
-    meta = json.load(open(results + ".meta.json"))
+    meta = json.loads(Path(results + ".meta.json").read_text())
     assert meta["concurrency"] == 4
 
 
@@ -183,7 +184,7 @@ def test_trace_command_writes_svg(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "trace", trace_path, "--seed", "2",
                          "--out", svg_path)
     assert code == 0
-    content = open(svg_path).read()
+    content = Path(svg_path).read_text()
     assert content.startswith("<svg")
     assert content.count('href="#take-star"') == 6
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import make_grid
+from conftest import make_grid, oracle
 from grasp.env import (
     MOVE_DELTAS,
     MU1,
@@ -17,6 +17,8 @@ from grasp.env import (
     replay,
     run_episode,
 )
+from grasp.generate import build_benchmark
+from grasp.textgrid import render
 
 FREE = ConstraintSet()
 COSTLY = ConstraintSet(step_cost=0.3)
@@ -275,3 +277,26 @@ def test_replay_rejects_a_trace_from_another_grid():
     with pytest.raises(ValueError, match="does not replay"):
         replay(trace, grid)
 
+
+def test_run_episode_agrees_with_the_oracle():
+    """The simulator against perfbench's reference scorer, which shares no
+    code with it: random plans, unknown tokens included, on generated grids
+    under random action sets, carry limits and step costs."""
+    by_name = {action.value: action for action in Action}
+    tokens = [*oracle.MOVES, "TAKE", "DROP", "JUMP", "", "take"]
+    grids = [(grid, oracle.parse_grid_text(render(grid))) for grid in build_benchmark(0, 5)]
+    rng = random.Random(2024)
+    for _ in range(10_000):
+        grid, ref_grid = rng.choice(grids)
+        mu, lim, cost = rng.choice("12"), rng.choice(["0", "2"]), rng.choice(["0", "0.3"])
+        instance = oracle.Instance(f"{grid.spec.grid_id}/mu={mu}/lim={lim}/cost={cost}")
+        constraints = ConstraintSet(ActionSet(f"mu{mu}"), 2 if lim == "2" else None, float(cost))
+        plan = [rng.choice(tokens) for _ in range(rng.randint(0, 25))]
+        got = run_episode(
+            grid, constraints, [by_name.get(token, Action.INVALID_TOKEN) for token in plan]
+        )
+        want = oracle.play(ref_grid, instance, plan)
+        assert (got.length, got.score_tenths, got.energy_at_start, got.final_pos) == (
+            want.length, want.score_tenths, want.energy_at_start, want.final_pos
+        ), (instance.text, plan)
+        assert [effect.value for _, effect in got.trace] == want.effects, (instance.text, plan)

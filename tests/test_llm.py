@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import PARSER_VECTORS, StubClient, fixture_text, make_grid
+from conftest import PARSER_VECTORS, StubClient, fixture_text, grid_from_text, make_grid
 from grasp.env import ActionSet, ConstraintSet, run_episode
 from grasp.generate import DistributionKind, StartMode, generate_grid
 from grasp.llm import (
@@ -25,7 +25,7 @@ from grasp.llm import (
     request_key,
     write_cassette,
 )
-from grasp.textgrid import parse, render
+from grasp.textgrid import render
 
 
 def _constraints(mu, lim, cost):
@@ -58,7 +58,7 @@ def test_system_prompt_matches_fixture(obs, mu, lim, cost):
 
 
 def test_worked_example_system_and_user():
-    grid = parse(fixture_text("grids", "prompt_example.txt"))
+    grid = grid_from_text(fixture_text("grids", "prompt_example.txt"))
     bundle = build_prompt(grid, _constraints(1, 2, 0.3), model="m")
     assert bundle.system == fixture_text("prompts", "example_system.txt")
     assert bundle.user == fixture_text("prompts", "example_user.txt")

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +144,7 @@ def test_run_suite_random_walk(tmp_path):
     assert len(records) == 320
     assert all(r.length == 19 for r in records)
     assert all(r.status == "scored" for r in records)
-    meta = json.loads(open(out + ".meta.json").read())
+    meta = json.loads(Path(out + ".meta.json").read_text())
     assert meta["agent"] == "random-walk"
     assert meta["replicates"] == 2
 
@@ -161,11 +162,11 @@ def test_run_suite_resumes(tmp_path):
     out = str(tmp_path / "results.jsonl")
     bench = Benchmark.from_seed(0)
     run_suite(bench, "greedy", out, index_lo=0, index_hi=0, suite_seed=1)
-    before = open(out).read()
+    before = Path(out).read_text()
     summary = run_suite(bench, "greedy", out, index_lo=0, index_hi=0, suite_seed=1)
     assert summary["skipped_existing"] == 160
     assert summary["scored"] == 0
-    assert open(out).read() == before
+    assert Path(out).read_text() == before
 
 
 def test_run_suite_traces_rescore(tmp_path):
@@ -176,7 +177,7 @@ def test_run_suite_traces_rescore(tmp_path):
     checked = 0
     for record in records[::13]:
         trace_path = os.path.join(str(tmp_path), record.trace_path)
-        trace = json.load(open(trace_path))
+        trace = json.loads(Path(trace_path).read_text())
         grid = bench.grid(InstanceId.from_str(record.instance_id))
         assert replay(trace, grid).score == record.score
         checked += 1
@@ -204,7 +205,7 @@ def test_rescore_trace_rejects_another_grid(tmp_path):
     bench = Benchmark.from_seed(5)
     run_suite(bench, "greedy", out, index_lo=0, index_hi=0, suite_seed=5)
     record = next(r for r in load_records(out) if r.score > 0)
-    trace = json.load(open(os.path.join(str(tmp_path), record.trace_path)))
+    trace = json.loads((tmp_path / record.trace_path).read_text())
     grid = bench.grid(InstanceId.from_str(record.instance_id))
     empty = type(grid)(
         energy=[[0] * 11 for _ in range(11)], obstacles=grid.obstacles, start=grid.start
@@ -271,7 +272,7 @@ def test_run_suite_concurrency_same_bytes(tmp_path):
         run_suite(Benchmark.from_seed(0), "llm:m", out, index_lo=0, index_hi=1,
                   concurrency=concurrency, client=CassetteClient(cassette))
         records = []
-        for line in open(out):
+        for line in Path(out).read_text().splitlines():
             record = json.loads(line)
             del record["started_at"], record["finished_at"]
             records.append(record)
@@ -415,7 +416,7 @@ def test_resume_with_at_most_one_grid_pending_starts_no_pool(
 
 def _without_timestamps(path):
     records = []
-    for line in open(path, encoding="utf-8"):
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
         del record["started_at"], record["finished_at"]
         records.append(record)
@@ -433,7 +434,7 @@ def test_resume_from_limit_arms_matches_full_run(tmp_path, agent):
                   resample_invalid=agent == "random-walk")
     run_suite(Benchmark.from_seed(0), agent, str(full / "r.jsonl"), **kwargs)
     shutil.copy(full / "r.jsonl.meta.json", part / "r.jsonl.meta.json")
-    kept = [line for line in open(full / "r.jsonl") if "/lim=2/" in line]
+    kept = [line for line in (full / "r.jsonl").read_text().splitlines(True) if "/lim=2/" in line]
     (part / "r.jsonl").write_text("".join(kept))
     summary = run_suite(Benchmark.from_seed(0), agent, str(part / "r.jsonl"), **kwargs)
     assert summary["skipped_existing"] == len(kept) == 320
@@ -505,6 +506,42 @@ def test_resume_identity_from_older_meta_matches(tmp_path):
     meta_path.write_text(json.dumps(meta))
     summary = run_suite(Benchmark.from_seed(7), "greedy", out, index_lo=0, index_hi=0)
     assert summary["skipped_existing"] == 160
+
+
+def test_resume_refuses_records_without_a_meta_file(tmp_path):
+    out = str(tmp_path / "results.jsonl")
+    run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0)
+    os.remove(out + ".meta.json")
+    before = sorted(os.listdir(tmp_path)), Path(out).read_bytes()
+    with pytest.raises(ValueError) as err:
+        run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=1, suite_seed=7)
+    assert out in str(err.value) and out + ".meta.json" in str(err.value)
+    assert (sorted(os.listdir(tmp_path)), Path(out).read_bytes()) == before
+    Path(out).write_bytes(b"")  # an empty results file holds nothing to mix up
+    summary = run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0)
+    assert summary["scored"] == 160
+
+
+def test_meta_file_is_replaced_whole(tmp_path, monkeypatch):
+    out = str(tmp_path / "results.jsonl")
+    meta_path = Path(out + ".meta.json")
+    run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0)
+    meta = meta_path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("killed before the rename")
+
+    # A crash before the rename leaves the old meta file whole.
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="killed"):
+        run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0, replicates=2)
+    monkeypatch.undo()
+    assert meta_path.read_bytes() == meta
+    # A torn or foreign one is refused by name.
+    for text in ('{"suite_seed": ', "[1]"):
+        meta_path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(meta_path))):
+            run_suite(Benchmark.from_seed(0), "greedy", out, index_lo=0, index_hi=0)
 
 
 def test_run_suite_llm_cassette_and_unscored(tmp_path):

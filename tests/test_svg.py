@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -15,7 +14,7 @@ def _trace_for(tmp_path, agent):
     bench = Benchmark.from_seed(4)
     run_suite(bench, agent, out, index_lo=0, index_hi=0, suite_seed=4)
     record = load_records(out)[3]
-    trace = json.load(open(os.path.join(str(tmp_path), record.trace_path)))
+    trace = json.loads((tmp_path / record.trace_path).read_text())
     grid = bench.grid(InstanceId.from_str(record.instance_id))
     return trace, grid
 

@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import fixture_text, make_grid
+from conftest import fixture_text, grid_from_text, make_grid
 from grasp.generate import DistributionKind, StartMode, generate_grid
-from grasp.textgrid import HEADER, SEPARATOR, GridParseError, parse, render
+from grasp.textgrid import HEADER, SEPARATOR, render
 
 GOLDEN_GRIDS = ["figure_path", "random_p052", "vskew_p038", "prompt_example"]
 
@@ -10,15 +10,15 @@ GOLDEN_GRIDS = ["figure_path", "random_p052", "vskew_p038", "prompt_example"]
 @pytest.mark.parametrize("name", GOLDEN_GRIDS)
 def test_golden_round_trip_bytes(name):
     text = fixture_text("grids", f"{name}.txt")
-    assert render(parse(text)) == text
+    assert render(grid_from_text(text)) == text
 
 
 def test_golden_figure_grid_content():
-    grid = parse(fixture_text("grids", "figure_path.txt"))
+    grid = grid_from_text(fixture_text("grids", "figure_path.txt"))
     assert grid.start == (7, 4)
     assert grid.energy[0][2] == 1
     assert grid.obstacles[4][0]
-    assert grid.total_energy() == 34
+    assert sum(map(sum, grid.energy)) == 34
     assert grid.obstacle_count() == 7
 
 
@@ -49,7 +49,7 @@ def test_round_trip_generated_grids():
     for kind in DistributionKind:
         for seed in range(10):
             grid = generate_grid(kind, seed % 2 == 0, StartMode.INNER, 0, seed)
-            back = parse(render(grid))
+            back = grid_from_text(render(grid))
             assert back.energy == grid.energy
             assert back.obstacles == grid.obstacles
             assert back.start == grid.start
@@ -63,73 +63,3 @@ def test_multi_unit_cell_still_renders_E():
 def test_start_renders_A_even_over_cleared_cell():
     text = render(make_grid(start=(10, 10)))
     assert text.split("\n")[22].endswith("| A |")
-
-
-def test_parse_short_row_names_line():
-    text = render(make_grid())
-    lines = text.split("\n")
-    lines[4] = lines[4][:-4]  # drop the last cell of row 1 (line 5)
-    with pytest.raises(GridParseError) as err:
-        parse("\n".join(lines))
-    assert "line 5" in str(err.value)
-    assert "cells" in str(err.value)
-
-
-def test_parse_unknown_symbol():
-    text = render(make_grid())
-    broken = text.replace("\n 3|   |", "\n 3| X |")
-    with pytest.raises(GridParseError) as err:
-        parse(broken)
-    assert "unknown cell symbol 'X'" in str(err.value)
-    assert "line 9" in str(err.value)
-
-
-def test_parse_bad_header():
-    text = render(make_grid())
-    with pytest.raises(GridParseError) as err:
-        parse("oops\n" + text.split("\n", 1)[1])
-    assert "line 1" in str(err.value)
-
-
-def test_parse_bad_separator():
-    text = render(make_grid())
-    lines = text.split("\n")
-    lines[1] = lines[1].replace("---", "--x", 1)
-    with pytest.raises(GridParseError) as err:
-        parse("\n".join(lines))
-    assert "line 2" in str(err.value)
-    assert "separator" in str(err.value)
-
-
-def test_parse_wrong_line_count():
-    text = render(make_grid())
-    with pytest.raises(GridParseError) as err:
-        parse("\n".join(text.split("\n")[:-3]) + "\n")
-    assert "expected 24 lines" in str(err.value)
-
-
-def test_parse_duplicate_start():
-    text = render(make_grid(start=(0, 0)))
-    broken = text.replace("\n 9|   |", "\n 9| A |")
-    with pytest.raises(GridParseError) as err:
-        parse(broken)
-    assert "more than one start" in str(err.value)
-
-
-def test_parse_missing_start():
-    text = render(make_grid(start=(0, 0))).replace(" A ", "   ")
-    with pytest.raises(GridParseError) as err:
-        parse(text)
-    assert "no start cell" in str(err.value)
-
-
-def test_parse_normalizes_crlf():
-    text = render(make_grid(energy=[(1, 1)]))
-    windows = text.replace("\n", "\r\n")
-    grid = parse(windows)
-    assert grid.energy[1][1] == 1
-
-
-def test_parse_without_trailing_newline():
-    text = render(make_grid())
-    assert parse(text.rstrip("\n")).start == (5, 5)
