@@ -1,4 +1,5 @@
-"""Baseline agents: the knowledge-free random walk and the greedy searcher.
+"""The agents a run can name: the knowledge-free random walk and the
+greedy searcher, listed in ``BASELINES``, and chat models as ``llm:<model>``.
 
 Both agents decide without looking at the carry limit or the step cost,
 so a given (grid, action set, seed) yields the same action sequence under
@@ -10,13 +11,12 @@ succeeded, planning over its own view of the remaining energy.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable, NamedTuple
 
 from .env import MAX_STEPS, Action, ActionSet, complement, destination
 from .generate import Grid
-from .rng import Generator, generator
+from .rng import Generator
 
-RANDOM_WALK = "random-walk"
-GREEDY = "greedy"
 WALK_TRIPS = 6  # move-and-take repetitions; 6*2 + 6 + 1 = 19 actions total
 
 
@@ -134,19 +134,28 @@ def greedy_plan(grid: Grid, action_set: ActionSet, rng: Generator) -> list[Actio
         belief[pos[0]][pos[1]] -= 1
 
 
-def baseline_plan(
-    agent: str,
-    grid: Grid,
-    action_set: ActionSet,
-    seed: int,
-    resample_invalid: bool = False,
-) -> list[Action]:
-    """One named baseline agent's plan for a (grid, action set, seed); the
-    same under every carry limit and step cost, so ``run_episode`` plays one
-    plan under each."""
-    rng = generator(seed)
-    if agent == RANDOM_WALK:
-        return random_walk_plan(action_set, rng, grid=grid, resample_invalid=resample_invalid)
-    if agent == GREEDY:
-        return greedy_plan(grid, action_set, rng)
-    raise ValueError(f"unknown baseline agent: {agent!r}")
+class Baseline(NamedTuple):
+    """A baseline agent: ``plan(grid, action_set, rng, resample_invalid)`` is
+    its whole plan, which every carry limit and step cost shares."""
+
+    plan: Callable[[Grid, ActionSet, Generator, bool], list[Action]]
+    reads_resample_invalid: bool
+
+
+BASELINES = {
+    "random-walk": Baseline(
+        lambda grid, moves, rng, resample: random_walk_plan(moves, rng, grid, resample), True
+    ),
+    "greedy": Baseline(lambda grid, moves, rng, _: greedy_plan(grid, moves, rng), False),
+}
+AGENT_SPECS = " | ".join([*BASELINES, "llm:<model>"])
+
+
+def parse_agent(spec: str) -> str | None:
+    """The model of an ``llm:<model>`` agent spec, or None for a name in
+    ``BASELINES``; any other spec is refused."""
+    if spec in BASELINES:
+        return None
+    if spec.startswith("llm:") and len(spec) > 4:
+        return spec[4:]
+    raise ValueError(f"unknown agent spec: {spec!r} (use {AGENT_SPECS})")

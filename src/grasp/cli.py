@@ -9,7 +9,8 @@ import os
 import sys
 
 from . import runner
-from .generate import grid_from_dict
+from .agents import AGENT_SPECS, parse_agent
+from .generate import GRID_FIELDS, grid_from_dict
 from .llm import CassetteClient, ClientConfig, HttpChatClient, LlmClientError, RecordingClient
 from .svg import export_trace_svg
 from .textgrid import render
@@ -49,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--json", action="store_true", help="machine-readable output")
 
     run = sub.add_parser("run", help="run an agent over benchmark instances")
-    run.add_argument("--agent", required=True,
-                     help="random-walk | greedy | llm:<model>")
+    run.add_argument("--agent", required=True, help=AGENT_SPECS)
     run.add_argument("--out", required=True, help="results JSONL path")
     run.add_argument("--benchmark", help="directory written by gen")
     run.add_argument("--seed", type=int, default=0,
@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="A..B", help="grid index range, default 0..99")
     run.add_argument("--replicates", type=_count, default=1)
     run.add_argument("--resample-invalid", action="store_true",
-                     help="random walk redraws moves that would not apply")
+                     help="random-walk redraws moves that would not apply "
+                          "(refused for other agents)")
     run.add_argument("--llm-config", help="JSON file with client settings")
     run.add_argument("--cassette", help="replay responses from this cassette")
     run.add_argument("--record-cassette", help="record live responses here")
@@ -127,10 +128,9 @@ def cmd_run(args) -> int:
         bench = runner.Benchmark.from_dir(args.benchmark)
     else:
         bench = runner.Benchmark.from_seed(args.seed)
-    kind, _ = runner.parse_agent(args.agent)
     client = None
     concurrency = 1
-    if kind == "llm":
+    if parse_agent(args.agent):
         client, config = _make_client(args)
         concurrency = config.concurrency
     lo, hi = args.subset
@@ -176,8 +176,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.grid, encoding="utf-8") as handle:
-        grid = grid_from_dict(json.load(handle))
+    grid = grid_from_dict(runner.read_json_object(args.grid, GRID_FIELDS))
     text = render(grid)
     if args.json:
         print(json.dumps({"grid": args.grid, "text": text}))
@@ -187,8 +186,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    with open(args.trace, encoding="utf-8") as handle:
-        trace = json.load(handle)
+    trace = runner.read_json_object(args.trace,
+                                    ("instance_id", "constraints", "actions", "effects"))
     instance = runner.InstanceId.from_str(trace["instance_id"])
     if args.benchmark:
         bench = runner.Benchmark.from_dir(args.benchmark)

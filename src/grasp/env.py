@@ -44,19 +44,13 @@ MOVE_DELTAS = {
     Action.DOWNRIGHT: (1, 1),
 }
 
-COMPLEMENTS = {
-    Action.UP: Action.DOWN,
-    Action.DOWN: Action.UP,
-    Action.LEFT: Action.RIGHT,
-    Action.RIGHT: Action.LEFT,
-    Action.UPLEFT: Action.DOWNRIGHT,
-    Action.DOWNRIGHT: Action.UPLEFT,
-    Action.UPRIGHT: Action.DOWNLEFT,
-    Action.DOWNLEFT: Action.UPRIGHT,
-}
-
-MU1 = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
-MU2 = MU1 + (Action.UPLEFT, Action.UPRIGHT, Action.DOWNLEFT, Action.DOWNRIGHT)
+# The rest of the move geometry follows from the deltas: a move's complement
+# has the negated delta, and mu1 is the moves along one axis. The action
+# sets keep this order, which the baselines index into.
+_MOVE_AT = {delta: move for move, delta in MOVE_DELTAS.items()}
+COMPLEMENTS = {move: _MOVE_AT[(-dr, -dc)] for move, (dr, dc) in MOVE_DELTAS.items()}
+MU1 = tuple(move for move, (dr, dc) in MOVE_DELTAS.items() if not (dr and dc))
+MU2 = tuple(MOVE_DELTAS)
 
 
 def complement(action: Action) -> Action:

@@ -121,9 +121,10 @@ def sample_params(kind: DistributionKind, rng: Generator) -> DistributionParams:
     """Draw the per-instance parameters for one distribution kind.
 
     Draw order per kind: random -> one uniform(0.3, 0.7); skew kinds -> one
-    uniform band pick then one uniform within the band; cluster -> one integer
-    in {3,4,5} then (row, col) integer pairs per cluster; spiral -> one 63-bit
-    integer used to seed the spiral walk.
+    ``random()`` that picks the band, below 0.5 the low one, then one
+    uniform(0.3, 0.4) or uniform(0.6, 0.7) within it; cluster -> one integer
+    in {3,4,5} then, per cluster, a row and then a column integer in [0, 11);
+    spiral -> one integer in [0, 2**63) used to seed the spiral walk.
     """
     if kind is DistributionKind.RANDOM:
         return DistributionParams(p=float(rng.uniform(0.3, 0.7)))
@@ -140,15 +141,14 @@ def sample_params(kind: DistributionKind, rng: Generator) -> DistributionParams:
             for _ in range(n)
         )
         return DistributionParams(n_clusters=n, centers=centers)
-    if kind is DistributionKind.SPIRAL:
-        return DistributionParams(spiral_noise_seed=int(rng.integers(0, 2**63)))
-    raise ValueError(f"unknown distribution kind: {kind!r}")
+    return DistributionParams(spiral_noise_seed=int(rng.integers(0, 2**63)))  # spiral
 
 
 def spiral_point(i: int, eps_theta: float = 0.0, eps_r: float = 0.0) -> tuple[int, int] | None:
     """Cell hit by spiral step i, or None when it falls outside the grid.
 
-    theta = i/10 + eps_theta, r = i / (110 / 2*pi) + eps_r, centered on (5, 5).
+    theta = i/10 + eps_theta and r = i / (110 / (2*pi)) + eps_r give the
+    cell (floor(5 + r*cos(theta)), floor(5 + r*sin(theta))), as (row, col).
     """
     theta = i / 10 + eps_theta
     r = i / (GRID_SIZE * 10 / (2 * math.pi)) + eps_r
@@ -160,7 +160,8 @@ def spiral_point(i: int, eps_theta: float = 0.0, eps_r: float = 0.0) -> tuple[in
 
 
 def spiral_cells(rng: Generator) -> list[tuple[int, int]]:
-    """In-bounds cells of one noisy spiral walk, in step order, repeats kept."""
+    """In-bounds cells of one noisy spiral walk, in step order, repeats kept;
+    steps i = 0..110 each draw eps_theta, then eps_r, from uniform(-0.2, 0.2)."""
     cells = []
     for i in range(SPIRAL_STEPS + 1):
         eps_theta = float(rng.uniform(-0.2, 0.2))
@@ -174,7 +175,12 @@ def spiral_cells(rng: Generator) -> list[tuple[int, int]]:
 def place_energy(
     kind: DistributionKind, params: DistributionParams, rng: Generator
 ) -> list[list[int]]:
-    """Build the 11x11 energy mask for the sampled parameters."""
+    """Build the 11x11 energy mask for the sampled parameters, one unit per
+    energy cell: a Bernoulli cell holds energy when its draw is below p
+    (random), p_top on rows 0..5 and 1 - p_top below (vertical-skew), or
+    p_left on columns 0..5 and 1 - p_left right of them (horizontal-skew); a
+    cluster fills the clipped 3x3 block around each center; the spiral fills
+    every cell its walk hits, the walk seeded with ``spiral_noise_seed``."""
     energy = [[0] * GRID_SIZE for _ in range(GRID_SIZE)]
     if kind in (DistributionKind.RANDOM, DistributionKind.VERTICAL_SKEW,
                 DistributionKind.HORIZONTAL_SKEW):
@@ -194,19 +200,18 @@ def place_energy(
             for i in range(max(0, a - 1), min(GRID_SIZE, a + 2)):
                 for j in range(max(0, b - 1), min(GRID_SIZE, b + 2)):
                     energy[i][j] = 1
-    elif kind is DistributionKind.SPIRAL:
+    else:  # spiral
         walk_rng = generator(params.spiral_noise_seed)
         for row, col in spiral_cells(walk_rng):
             energy[row][col] = 1
-    else:
-        raise ValueError(f"unknown distribution kind: {kind!r}")
     return energy
 
 
 def place_obstacles(
     energy: list[list[int]], rng: Generator
 ) -> list[list[bool]]:
-    """Sample the Bernoulli(0.1) obstacle field, clearing energy underneath."""
+    """Sample the Bernoulli(0.1) obstacle field, clearing energy underneath:
+    a cell is an obstacle when its uniform draw is below 0.1."""
     draws = rng.random((GRID_SIZE, GRID_SIZE))
     obstacles = [[False] * GRID_SIZE for _ in range(GRID_SIZE)]
     for i in range(GRID_SIZE):
@@ -218,6 +223,7 @@ def place_obstacles(
 
 
 def inner_cells() -> list[tuple[int, int]]:
+    """Rows and columns 3..7, row-major; ``outer_cells`` is every other cell."""
     return [
         (i, j)
         for i in range(INNER_LO, INNER_HI + 1)
@@ -278,7 +284,8 @@ def generate_grid(
 
 def grid_parts(key: GridKey) -> tuple[int, int, int, int]:
     """A grid's identity as the integers its seeds are derived from: kind
-    index, obstacles 0/1, start 0 (inner) or 1 (outer), grid index."""
+    index (random 0, vertical-skew 1, horizontal-skew 2, cluster 3, spiral
+    4), obstacles 0/1, start 0 (inner) or 1 (outer), grid index."""
     kind, has_obstacles, start_mode, grid_index = key
     return (
         _KINDS.index(kind),
@@ -301,7 +308,8 @@ def grid_seed(
     start_mode: StartMode,
     grid_index: int,
 ) -> int:
-    """Per-grid seed, stable regardless of generation order."""
+    """Per-grid seed, stable regardless of generation order:
+    ``derive_seed(1, master_seed, *grid_parts(key))``."""
     key = (kind, has_obstacles, start_mode, grid_index)
     return derive_seed(_GRID_DOMAIN, master_seed, *grid_parts(key))
 
@@ -338,6 +346,10 @@ def grid_to_dict(grid: Grid) -> dict:
             for i in range(GRID_SIZE)
         ],
     }
+
+
+GRID_FIELDS = ("cells", "start", "distribution", "params", "has_obstacles", "start_mode",
+               "grid_index", "seed")
 
 
 def grid_from_dict(data: dict) -> Grid:

@@ -21,9 +21,10 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import agents as agents_mod
+from .agents import BASELINES, parse_agent
 from .env import ActionSet, ConstraintSet, run_episode
 from .generate import (
+    GRID_FIELDS,
     DistributionKind,
     Grid,
     GridKey,
@@ -38,11 +39,12 @@ from .generate import (
     grid_to_dict,
 )
 from .llm import ActionPlan, LlmClientError, build_prompt, parse_plan
-from .rng import derive_seed
+from .rng import derive_seed, generator
 from .textgrid import render
 
 _AGENT_DOMAIN = 3
 
+PER_COMBO = 100  # grids per control combination, indexes 0..99
 CARRY_LIMITS = (None, 2)
 STEP_COSTS = (0.0, 0.3)
 
@@ -95,7 +97,7 @@ class InstanceId:
 
 def enumerate_instances(index_lo: int = 0, index_hi: int = 99) -> list[InstanceId]:
     """All instances whose grid index lies in [index_lo, index_hi]."""
-    if not (0 <= index_lo <= index_hi <= 99):
+    if not (0 <= index_lo <= index_hi < PER_COMBO):
         raise ValueError(f"invalid grid index range {index_lo}..{index_hi}")
     return [
         InstanceId(*key, action_set, limit, cost)
@@ -118,8 +120,8 @@ class Benchmark:
         self.per_combo = None
         self._cache: dict[tuple[int, int, int, int], Grid] = {}
         if root is not None:
-            with open(os.path.join(root, "manifest.json"), encoding="utf-8") as handle:
-                manifest = json.load(handle)
+            manifest = read_json_object(os.path.join(root, "manifest.json"),
+                                        ("master_seed", "per_combo"))
             master_seed, self.per_combo = manifest["master_seed"], manifest["per_combo"]
         self.master_seed = master_seed
 
@@ -150,10 +152,22 @@ class Benchmark:
         else:
             self.check_index(instance.grid_index)
             path = os.path.join(self.root, grid_rel_path(*identity) + ".json")
-            with open(path, encoding="utf-8") as handle:
-                grid = grid_from_dict(json.load(handle))
+            grid = grid_from_dict(read_json_object(path, GRID_FIELDS))
         self._cache[key] = grid
         return grid
+
+
+def read_json_object(path: str, fields: tuple[str, ...]) -> dict:
+    """A file's JSON object, refused with a ValueError naming the file when
+    it holds no object or lacks one of ``fields``."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds no JSON object")
+    for name in fields:
+        if name not in data:
+            raise ValueError(f"{path} has no field {name!r}")
+    return data
 
 
 def grid_rel_path(
@@ -176,6 +190,8 @@ def write_benchmark(
 ) -> dict:
     """Write every grid as a JSON + text pair plus a manifest; returns the
     manifest. Fails on a non-empty target unless forced."""
+    if not 1 <= per_combo <= PER_COMBO:
+        raise ValueError(f"per_combo must be from 1 to {PER_COMBO}, got {per_combo}")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise FileExistsError(f"output directory {out_dir!r} is not empty (use force)")
     grids = build_benchmark(master_seed, per_combo=per_combo)
@@ -254,15 +270,6 @@ def record_seed(suite_seed: int, instance: InstanceId, replicate: int) -> int:
     )
 
 
-def parse_agent(spec: str) -> tuple[str, str | None]:
-    """Split an agent spec into (kind, model): baselines or "llm:<model>"."""
-    if spec in (agents_mod.RANDOM_WALK, agents_mod.GREEDY):
-        return (spec, None)
-    if spec.startswith("llm:") and len(spec) > 4:
-        return ("llm", spec[4:])
-    raise ValueError(f"unknown agent spec: {spec!r}")
-
-
 def _trace_filename(record: RunRecord) -> str:
     flat = record.instance_id.replace("/", "_")
     agent = record.agent.replace("/", "_").replace(":", "-")
@@ -315,8 +322,7 @@ class _GridJob:
 
     benchmark: Benchmark
     agent: str
-    kind: str
-    model: str | None
+    model: str | None  # None for a baseline
     suite_seed: int
     resample_invalid: bool
     write_traces: bool
@@ -327,7 +333,7 @@ class _GridJob:
         one grid, in order. LLM transport failures come back as unscored
         records, without a trace."""
         grid = self.benchmark.grid(items[0][0])
-        text = render(grid) if self.kind == "llm" else None
+        text = render(grid) if self.model else None
         # A baseline plan per record seed, which leaves out the carry limit
         # and step cost: the four arms of an action set share it.
         plans: dict[int, list] = {}
@@ -338,7 +344,7 @@ class _GridJob:
             head = dict(instance_id=instance.to_str(), agent=self.agent, seed=seed,
                         replicate=replicate, started_at=_now())
             plan = None
-            if self.kind == "llm":
+            if self.model:
                 bundle = build_prompt(grid, constraints, model=self.model, text=text)
                 try:
                     raw = self.client.complete(bundle)
@@ -351,9 +357,8 @@ class _GridJob:
                 actions = plan.actions
             else:
                 if seed not in plans:
-                    plans[seed] = agents_mod.baseline_plan(
-                        self.kind, grid, instance.action_set, seed,
-                        resample_invalid=self.resample_invalid,
+                    plans[seed] = BASELINES[self.agent].plan(
+                        grid, instance.action_set, generator(seed), self.resample_invalid
                     )
                 actions = plans[seed]
             result = run_episode(grid, constraints, actions)
@@ -376,13 +381,15 @@ def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
 
     A last line that does not parse, as a crash mid-write leaves it, is
     dropped with a warning on stderr; ``truncate_torn`` also cuts it from
-    the file, so that appended records start on a line of their own. A bad
-    line anywhere else raises ValueError.
+    the file, so that appended records start on a line of their own, and
+    ends a last record that parsed but lost its line end. A bad line
+    anywhere else raises ValueError.
     """
     records = []
     if not os.path.exists(path):
         return records
     torn = None  # (line number, error) of the last line that did not parse
+    line = "\n"
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
@@ -402,6 +409,9 @@ def load_records(path: str, truncate_torn: bool = False) -> list[RunRecord]:
             with open(path, "rb") as handle:
                 end = sum(len(line) for _, line in zip(range(torn[0] - 1), handle))
             os.truncate(path, end)
+    elif truncate_torn and not line.endswith("\n"):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\n")
     return records
 
 
@@ -439,18 +449,21 @@ def run_suite(
     this process writes each trace and then its record, in the serial
     order. A results file is resumed only under the suite seed, grid
     master seed and ``resample_invalid`` its meta file names; one that
-    holds records but has no meta file is refused.
+    holds records but has no meta file is refused. ``resample_invalid`` is
+    refused for an agent that does not read it.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
-    kind, model = parse_agent(agent_spec)
-    if kind != "llm" and concurrency > 1:
+    model = parse_agent(agent_spec)
+    if model is None and concurrency > 1:
         raise ValueError(
             f"concurrency is for LLM clients; {agent_spec} runs serially "
             "or on one worker process per CPU"
         )
-    if kind == "llm" and client is None:
+    if model is not None and client is None:
         raise ValueError("an LLM agent needs a client (endpoint or cassette)")
+    if resample_invalid and not (model is None and BASELINES[agent_spec].reads_resample_invalid):
+        raise ValueError(f"{agent_spec} does not read resample_invalid")
     benchmark.check_index(index_hi)
     instances = enumerate_instances(index_lo, index_hi)
     meta_path = out_path + ".meta.json"
@@ -483,6 +496,8 @@ def run_suite(
         for replicate in range(replicates)
         if (instance.to_str(), agent_spec, replicate) not in existing
     ]
+    if pending:  # a grid source that cannot give its first grid fails before any write
+        benchmark.grid(pending[0][0])
     # Each results file has a traces directory of its own, named after it,
     # so two results files in one directory never share a trace file.
     out_dir = os.path.dirname(out_path) or "."
@@ -514,9 +529,9 @@ def run_suite(
     grids = [
         list(items) for _, items in itertools.groupby(pending, lambda item: item[0].grid_key)
     ]
-    play = _GridJob(benchmark, agent_spec, kind, model, suite_seed, resample_invalid,
+    play = _GridJob(benchmark, agent_spec, model, suite_seed, resample_invalid,
                     write_traces, client).play
-    workers = 1 if kind == "llm" else min(_usable_cpus(), len(grids))
+    workers = 1 if model else min(_usable_cpus(), len(grids))
     pool, chunksize = None, 1
     if concurrency > 1:
         from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it

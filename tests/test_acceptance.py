@@ -28,7 +28,7 @@ from conftest import (
     nearest_energy_distance,
     reference_greedy_plan,
 )
-from grasp.agents import baseline_plan, greedy_plan_step
+from grasp.agents import BASELINES, greedy_plan_step
 from grasp.env import (
     Action,
     ActionSet,
@@ -83,13 +83,14 @@ def bench():
 
 @pytest.fixture(scope="module")
 def random_walk_records(bench, subset_instances):
+    walk = BASELINES["random-walk"].plan
     records = []
     for instance in subset_instances:
         grid = bench.grid(instance)
         constraints = instance.constraints()
         for rep in range(5):
             seed = record_seed(SUITE_SEED, instance, rep)
-            plan = baseline_plan("random-walk", grid, constraints.action_set, seed)
+            plan = walk(grid, constraints.action_set, generator(seed), False)
             result = run_episode(grid, constraints, plan)
             records.append((instance, rep, result))
     return records
@@ -101,7 +102,7 @@ def greedy_records(bench, subset_instances):
     for instance in subset_instances:
         grid = bench.grid(instance)
         seed = record_seed(SUITE_SEED, instance, 0)
-        plan = baseline_plan("greedy", grid, instance.action_set, seed)
+        plan = BASELINES["greedy"].plan(grid, instance.action_set, generator(seed), False)
         result = run_episode(grid, instance.constraints(), plan)
         records.append((instance, result))
     return records

@@ -3,7 +3,13 @@ import math
 import pytest
 
 from conftest import make_grid, nearest_energy_distance
-from grasp.agents import baseline_plan, greedy_plan, greedy_plan_step, random_walk_plan
+from grasp.agents import (
+    BASELINES,
+    greedy_plan,
+    greedy_plan_step,
+    parse_agent,
+    random_walk_plan,
+)
 from grasp.env import (
     Action,
     ActionSet,
@@ -22,7 +28,8 @@ FREE = ConstraintSet()
 
 def _play(agent, grid, constraints, seed):
     """A baseline's plan for the instance, played under its constraints."""
-    return run_episode(grid, constraints, baseline_plan(agent, grid, constraints.action_set, seed))
+    plan = BASELINES[agent].plan(grid, constraints.action_set, generator(seed), False)
+    return run_episode(grid, constraints, plan)
 
 
 class ScriptedRng:
@@ -278,5 +285,6 @@ def test_run_baseline_cost_delta_is_5_7():
 
 
 def test_run_baseline_unknown_agent():
-    with pytest.raises(ValueError):
-        baseline_plan("astar", make_grid(), ActionSet.MU1, 0)
+    assert "astar" not in BASELINES
+    with pytest.raises(ValueError, match="astar"):
+        parse_agent("astar")

@@ -282,9 +282,6 @@ def test_resume_against_other_grids_is_refused(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert err.startswith("error: ") and "master seed 0, not 5" in err
-    code, _, err = run_cli(capsys, *args, "--seed", "0", "--resample-invalid")
-    assert code == 1
-    assert "resample invalid False, not True" in err
     assert path.read_bytes() == before
     assert meta.read_bytes() == meta_before
 
@@ -293,6 +290,19 @@ def test_resume_against_other_grids_is_refused(tmp_path, capsys):
     assert code == 0
     assert json.loads(stdout)["skipped_existing"] == 160
     assert path.read_bytes() == before
+
+    # resample_invalid is part of a walk's identity: the walk is the agent that reads it.
+    walk = tmp_path / "walk.jsonl"
+    walk_args = ("run", "--agent", "random-walk", "--out", str(walk), "--subset", "0..0",
+                 "--seed", "0")
+    assert run_cli(capsys, *walk_args)[0] == 0
+    walk_meta = tmp_path / "walk.jsonl.meta.json"
+    before, meta_before = walk.read_bytes(), walk_meta.read_bytes()
+    code, _, err = run_cli(capsys, *walk_args, "--resample-invalid")
+    assert code == 1
+    assert "resample invalid False, not True" in err
+    assert walk.read_bytes() == before
+    assert walk_meta.read_bytes() == meta_before
 
 
 def test_run_rejects_bad_concurrency(tmp_path, capsys):
@@ -321,3 +331,60 @@ def test_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("agent", ["greedy", "llm:m"])
+def test_resample_invalid_is_refused_for_agents_that_do_not_read_it(tmp_path, capsys, agent):
+    cassette = str(tmp_path / "cassette.json")
+    write_cassette(cassette, [])
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--agent", agent, "--out", str(out / "r.jsonl"),
+                                "--subset", "0..0", "--cassette", cassette, "--resample-invalid")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "resample_invalid" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_combo", ["0", "-3", "101"])
+def test_gen_refuses_a_per_combo_out_of_range(tmp_path, capsys, per_combo):
+    out = tmp_path / "bench"
+    code, _, err = run_cli(capsys, "gen", "--out", str(out), "--per-combo", per_combo)
+    assert code == 1
+    assert err == f"error: per_combo must be from 1 to 100, got {per_combo}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, content, complaint", [
+    ("render", [1], "holds no JSON object"),
+    ("render", {"start": [0, 0]}, "has no field 'cells'"),
+    ("trace", [1], "holds no JSON object"),
+    ("trace", {}, "has no field 'instance_id'"),
+])
+def test_render_and_trace_refuse_a_file_they_cannot_read(
+    tmp_path, capsys, command, content, complaint
+):
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    seed = ("--seed", "0") if command == "trace" else ()
+    code, stdout, err = run_cli(capsys, command, str(path), *seed)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {path} {complaint}")
+    assert os.listdir(tmp_path) == ["input.json"]
+
+
+def test_run_refuses_a_benchmark_whose_grid_lacks_a_field(tmp_path, capsys):
+    bench = tmp_path / "bench"
+    assert run_cli(capsys, "gen", "--out", str(bench), "--per-combo", "1")[0] == 0
+    grid = bench / "grids" / "random" / "obs0" / "inner" / "000.json"
+    data = json.loads(grid.read_text())
+    del data["start"]
+    grid.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--agent", "greedy", "--benchmark", str(bench),
+                                "--subset", "0..0", "--out", str(out / "r.jsonl"))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {grid} has no field 'start'\n"
+    assert not out.exists()

@@ -105,6 +105,15 @@ def test_write_benchmark_refuses_nonempty(tmp_path):
     write_benchmark(str(out), master_seed=1, per_combo=1, force=True)
 
 
+@pytest.mark.parametrize("per_combo", [0, -3, 101])
+def test_write_benchmark_refuses_a_per_combo_out_of_range(tmp_path, per_combo):
+    # run --subset reaches grid indexes 0..99 only, so 100 per combination is the most
+    out = tmp_path / "bench"
+    with pytest.raises(ValueError, match="per_combo"):
+        write_benchmark(str(out), master_seed=1, per_combo=per_combo)
+    assert not out.exists()
+
+
 def test_benchmark_requires_exactly_one_source(tmp_path):
     with pytest.raises(ValueError):
         Benchmark()
@@ -394,6 +403,44 @@ def test_forked_workers_write_the_serial_bytes(
     assert outputs[0] == outputs[1]
 
 
+# (complete lines kept, bytes of the next line kept, traces past the cut kept,
+# usable CPUs): each combination of a cut on or inside a line, kept or dropped
+# traces and a serial or forked resume, at cuts spread over the file. A cut
+# of -1 bytes takes only the line end: that record stands.
+_CRASHES = [
+    (0, 0, True, 1), (37, 0, False, 2), (160, 0, True, 2), (319, 0, False, 1),
+    (5, 1, True, 2), (120, 90, False, 1), (200, -1, True, 1), (300, 40, False, 2),
+]
+
+
+def test_resume_after_a_crash_writes_the_uninterrupted_bytes(tmp_path, monkeypatch):
+    from grasp import runner
+
+    reference = tmp_path / "reference"
+    run_suite(Benchmark.from_seed(0), "greedy", str(reference / "r.jsonl"), index_lo=0, index_hi=1)
+    lines = (reference / "r.jsonl").read_bytes().splitlines(keepends=True)
+    traces = {name: (reference / "r.traces" / name).read_bytes()
+              for name in os.listdir(reference / "r.traces")}
+    assert len(lines) == len(traces) == 320
+    for number, (whole, part, keep_traces, cpus) in enumerate(_CRASHES):
+        crashed = tmp_path / f"crash{number}"
+        (crashed / "r.traces").mkdir(parents=True)
+        shutil.copy(reference / "r.jsonl.meta.json", crashed / "r.jsonl.meta.json")
+        (crashed / "r.jsonl").write_bytes(b"".join(lines[:whole]) + lines[whole][:part])
+        kept = {json.loads(line)["trace_path"] for line in lines[:whole]}
+        for name, data in traces.items():
+            if keep_traces or os.path.join("r.traces", name) in kept:
+                (crashed / "r.traces" / name).write_bytes(data)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda n=cpus: n)
+        summary = run_suite(Benchmark.from_seed(0), "greedy", str(crashed / "r.jsonl"),
+                            index_lo=0, index_hi=1)
+        assert summary["skipped_existing"] == whole + (part < 0)
+        assert _lines_without_timestamps(crashed / "r.jsonl") == \
+            _lines_without_timestamps(reference / "r.jsonl")
+        assert {name: (crashed / "r.traces" / name).read_bytes()
+                for name in os.listdir(crashed / "r.traces")} == traces
+
+
 def test_resume_with_at_most_one_grid_pending_starts_no_pool(
     tmp_path, monkeypatch, forked_pools
 ):
@@ -583,10 +630,12 @@ def test_run_suite_llm_requires_client(tmp_path):
 
 
 def test_parse_agent_rejects_unknown():
-    from grasp.runner import parse_agent
+    from grasp.agents import BASELINES, parse_agent
 
-    assert parse_agent("random-walk") == ("random-walk", None)
-    assert parse_agent("llm:gpt-x") == ("llm", "gpt-x")
+    assert parse_agent("random-walk") is None
+    assert parse_agent("greedy") is None
+    assert list(BASELINES) == ["random-walk", "greedy"]
+    assert parse_agent("llm:gpt-x") == "gpt-x"
     with pytest.raises(ValueError):
         parse_agent("llm:")
     with pytest.raises(ValueError):
