@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, NamedTuple
 
-from .env import MAX_STEPS, Action, ActionSet, complement, destination
+from .env import COMPLEMENTS, MAX_STEPS, Action, ActionSet, destination
 from .generate import Grid
 from .rng import Generator
 
@@ -52,7 +52,7 @@ def random_walk_plan(
     for move in moves:
         plan.append(move)
         plan.append(Action.TAKE)
-    plan.extend(complement(move) for move in reversed(moves))
+    plan.extend(COMPLEMENTS[move] for move in reversed(moves))
     plan.append(Action.DROP)
     return plan
 
@@ -123,7 +123,7 @@ def greedy_plan(grid: Grid, action_set: ActionSet, rng: Generator) -> list[Actio
             grid, belief, pos, MAX_STEPS - len(plan), action_set, rng, past
         )
         if path is None:
-            plan.extend(complement(action) for action in reversed(past))
+            plan.extend(COMPLEMENTS[action] for action in reversed(past))
             plan.append(Action.DROP)
             return plan
         for action in path:

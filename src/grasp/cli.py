@@ -10,7 +10,6 @@ import sys
 
 from . import runner
 from .agents import AGENT_SPECS, parse_agent
-from .generate import GRID_FIELDS, grid_from_dict
 from .llm import CassetteClient, ClientConfig, HttpChatClient, LlmClientError, RecordingClient
 from .svg import export_trace_svg
 from .textgrid import render
@@ -176,7 +175,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
-    grid = grid_from_dict(runner.read_json_object(args.grid, GRID_FIELDS))
+    grid = runner.read_grid(args.grid)
     text = render(grid)
     if args.json:
         print(json.dumps({"grid": args.grid, "text": text}))
@@ -188,6 +187,8 @@ def cmd_render(args) -> int:
 def cmd_trace(args) -> int:
     trace = runner.read_json_object(args.trace,
                                     ("instance_id", "constraints", "actions", "effects"))
+    runner.check_object(trace["constraints"], ("action_set", "carry_limit", "step_cost"),
+                        f"{args.trace} field 'constraints'")
     instance = runner.InstanceId.from_str(trace["instance_id"])
     if args.benchmark:
         bench = runner.Benchmark.from_dir(args.benchmark)

@@ -1,4 +1,4 @@
-"""Episode state machine: actions, constraints, scoring.
+"""The episode loop: actions, constraints, scoring.
 
 Every submitted action consumes one step and incurs the step cost, whether
 or not it changes anything; an action that cannot change the environment
@@ -53,11 +53,6 @@ MU1 = tuple(move for move, (dr, dc) in MOVE_DELTAS.items() if not (dr and dc))
 MU2 = tuple(MOVE_DELTAS)
 
 
-def complement(action: Action) -> Action:
-    """The movement that exactly reverses the given one."""
-    return COMPLEMENTS[action]
-
-
 def destination(grid: Grid, pos: tuple[int, int], move: Action) -> tuple[int, int] | None:
     """The cell a move leads to from ``pos``, or None when that cell is off
     the grid or an obstacle: the one rule for whether a move applies."""
@@ -88,10 +83,6 @@ class Effect(str, Enum):
     NOOP = "noop"
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised when an action is submitted after the step budget is spent."""
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Agent-side half of a benchmark instance."""
@@ -112,14 +103,6 @@ class ConstraintSet:
             "max_steps": MAX_STEPS,  # fixed; traces state it for their readers
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConstraintSet":
-        return cls(
-            action_set=ActionSet(data["action_set"]),
-            carry_limit=data["carry_limit"],
-            step_cost=float(data["step_cost"]),
-        )
-
 
 @dataclass
 class EpisodeResult:
@@ -128,93 +111,49 @@ class EpisodeResult:
     energy_at_start: int
     final_pos: tuple[int, int]
     trace: list[tuple[Action, Effect]]
+    energy: list[list[int]]  # the energy field as the episode left it
+    carried: int  # units still carried, which score nothing
 
     @property
     def score(self) -> float:
         return self.score_tenths / 10
 
 
-class EpisodeState:
-    """Mutable simulation state for one agent on one grid.
-
-    Owns a private copy of the energy field; the grid itself is never
-    modified. Drive it with ``step`` and read the outcome with ``result``.
-    """
-
-    def __init__(self, grid: Grid, constraints: ConstraintSet):
-        self.grid = grid
-        self.constraints = constraints
-        self.energy = grid.copy_energy()
-        self.agent_pos = grid.start
-        self.carried = 0
-        self.steps_executed = 0
-        self.trace: list[tuple[Action, Effect]] = []
-
-    @property
-    def remaining(self) -> int:
-        return MAX_STEPS - self.steps_executed
-
-    def total_energy(self) -> int:
-        """Cell energy plus carried units; conserved across every action."""
-        return sum(sum(row) for row in self.energy) + self.carried
-
-    def step(self, action: Action) -> Effect:
-        """Execute one action, returning whether it changed the environment."""
-        if self.remaining <= 0:
-            raise BudgetExhausted(f"step budget of {MAX_STEPS} already spent")
-        effect = self._apply(action)
-        self.steps_executed += 1
-        self.trace.append((action, effect))
-        return effect
-
-    def _apply(self, action: Action) -> Effect:
-        if action in MOVE_DELTAS:
-            if action not in self.constraints.action_set.moves:
-                return Effect.NOOP
-            target = destination(self.grid, self.agent_pos, action)
-            if target is None:
-                return Effect.NOOP
-            self.agent_pos = target
-            return Effect.APPLIED
-        if action is Action.TAKE:
-            row, col = self.agent_pos
-            limit = self.constraints.carry_limit
-            if self.energy[row][col] < 1 or (limit is not None and self.carried >= limit):
-                return Effect.NOOP
-            self.energy[row][col] -= 1
-            self.carried += 1
-            return Effect.APPLIED
-        if action is Action.DROP:
-            if self.carried == 0:
-                return Effect.NOOP
-            row, col = self.agent_pos
-            self.energy[row][col] += self.carried
-            self.carried = 0
-            return Effect.APPLIED
-        return Effect.NOOP  # INVALID_TOKEN
-
-    def result(self) -> EpisodeResult:
-        row, col = self.grid.start
-        energy_at_start = self.energy[row][col]
-        score_tenths = (
-            10 * energy_at_start
-            - self.constraints.cost_tenths * self.steps_executed
-        )
-        return EpisodeResult(
-            length=self.steps_executed,
-            score_tenths=score_tenths,
-            energy_at_start=energy_at_start,
-            final_pos=self.agent_pos,
-            trace=list(self.trace),
-        )
-
-
 def run_episode(grid: Grid, constraints: ConstraintSet, plan: list[Action]) -> EpisodeResult:
-    """Execute a plan, truncated to the step budget, and score it."""
-    state = EpisodeState(grid, constraints)
+    """Execute a plan, truncated to the step budget, and score it: the one
+    implementation of the rules. The grid is never modified; the state after
+    step k is ``run_episode(grid, constraints, plan[:k])``."""
+    energy = grid.copy_energy()
+    pos = grid.start
+    carried = 0
+    moves = constraints.action_set.moves
+    limit = constraints.carry_limit
+    trace: list[tuple[Action, Effect]] = []
     for action in plan[:MAX_STEPS]:
-        state.step(action)
-    return state.result()
+        effect = Effect.NOOP
+        if action in moves and (target := destination(grid, pos, action)):
+            pos, effect = target, Effect.APPLIED
+        elif action is Action.TAKE:
+            row, col = pos
+            if energy[row][col] >= 1 and (limit is None or carried < limit):
+                energy[row][col] -= 1
+                carried += 1
+                effect = Effect.APPLIED
+        elif action is Action.DROP and carried:
+            energy[pos[0]][pos[1]] += carried
+            carried = 0
+            effect = Effect.APPLIED
+        trace.append((action, effect))
+    row, col = grid.start
+    return EpisodeResult(
+        length=len(trace),
+        score_tenths=10 * energy[row][col] - constraints.cost_tenths * len(trace),
+        energy_at_start=energy[row][col],
+        final_pos=pos,
+        trace=trace,
+        energy=energy,
+        carried=carried,
+    )
 
 
 def replay(trace: dict, grid: Grid) -> EpisodeResult:
@@ -222,7 +161,9 @@ def replay(trace: dict, grid: Grid) -> EpisodeResult:
 
     Raises ValueError when any action's effect differs from the recorded one.
     """
-    constraints = ConstraintSet.from_dict(trace["constraints"])
+    data = trace["constraints"]
+    constraints = ConstraintSet(ActionSet(data["action_set"]), data["carry_limit"],
+                                float(data["step_cost"]))
     result = run_episode(grid, constraints, [Action(action) for action in trace["actions"]])
     if [effect.value for _, effect in result.trace] != trace["effects"]:
         raise ValueError("trace does not replay on this grid")

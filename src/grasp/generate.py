@@ -350,6 +350,7 @@ def grid_to_dict(grid: Grid) -> dict:
 
 GRID_FIELDS = ("cells", "start", "distribution", "params", "has_obstacles", "start_mode",
                "grid_index", "seed")
+PARAM_FIELDS = frozenset(vars(DistributionParams()))
 
 
 def grid_from_dict(data: dict) -> Grid:

@@ -283,7 +283,13 @@ class CassetteClient:
     def __init__(self, path: str):
         self.path = path
         with open(path, encoding="utf-8") as handle:
-            self.records = json.load(handle).get("records", {})
+            data = json.load(handle)
+        self.records = data.get("records", {}) if isinstance(data, dict) else None
+        if not isinstance(self.records, dict):
+            raise ValueError(f"cassette {path} must hold an object whose records are an object")
+        for key, record in self.records.items():
+            if not (isinstance(record, dict) and isinstance(record.get("response"), str)):
+                raise ValueError(f"cassette {path} record {key!r} has no string response")
 
     def complete(self, bundle: PromptBundle) -> str:
         key = request_key(bundle.request_body())

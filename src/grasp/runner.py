@@ -25,6 +25,7 @@ from .agents import BASELINES, parse_agent
 from .env import ActionSet, ConstraintSet, run_episode
 from .generate import (
     GRID_FIELDS,
+    PARAM_FIELDS,
     DistributionKind,
     Grid,
     GridKey,
@@ -152,22 +153,40 @@ class Benchmark:
         else:
             self.check_index(instance.grid_index)
             path = os.path.join(self.root, grid_rel_path(*identity) + ".json")
-            grid = grid_from_dict(read_json_object(path, GRID_FIELDS))
+            grid = read_grid(path)
         self._cache[key] = grid
         return grid
 
 
-def read_json_object(path: str, fields: tuple[str, ...]) -> dict:
-    """A file's JSON object, refused with a ValueError naming the file when
-    it holds no object or lacks one of ``fields``."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+def check_object(data, fields: tuple[str, ...], where: str) -> dict:
+    """``data``, refused with a ValueError naming ``where`` when it is no
+    JSON object or lacks one of ``fields``."""
     if not isinstance(data, dict):
-        raise ValueError(f"{path} holds no JSON object")
+        raise ValueError(f"{where} holds no JSON object")
     for name in fields:
         if name not in data:
-            raise ValueError(f"{path} has no field {name!r}")
+            raise ValueError(f"{where} has no field {name!r}")
     return data
+
+
+def read_json_object(path: str, fields: tuple[str, ...]) -> dict:
+    """A file's JSON object, checked by ``check_object`` under the file's name."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path} does not parse: {exc}") from None
+    return check_object(data, fields, path)
+
+
+def read_grid(path: str) -> Grid:
+    """A grid file, with its top-level fields and its ``params`` keys checked."""
+    data = read_json_object(path, GRID_FIELDS)
+    where = f"{path} field 'params'"
+    unknown = sorted(check_object(data["params"], (), where).keys() - PARAM_FIELDS)
+    if unknown:
+        raise ValueError(f"{where} has unknown field {unknown[0]!r}")
+    return grid_from_dict(data)
 
 
 def grid_rel_path(
@@ -473,13 +492,7 @@ def run_suite(
         "resample_invalid": resample_invalid,
     }
     if os.path.exists(out_path) and os.path.exists(meta_path):
-        try:
-            with open(meta_path, encoding="utf-8") as handle:
-                previous = json.load(handle)
-            if not isinstance(previous, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as exc:
-            raise ValueError(f"meta file {meta_path} does not parse: {exc}") from None
+        previous = read_json_object(meta_path, ())
         clashes = [
             f"{key.replace('_', ' ')} {previous[key]}, not {value}"
             for key, value in identity.items()
@@ -489,7 +502,13 @@ def run_suite(
             raise ValueError(f"{out_path} holds records of {'; '.join(clashes)}")
     elif os.path.exists(out_path) and os.path.getsize(out_path):
         raise ValueError(f"{out_path} holds records but its meta file {meta_path} is missing")
-    existing = {record.key() for record in load_records(out_path, truncate_torn=True)}
+    kept = load_records(out_path, truncate_torn=True)
+    for record in kept:  # each record's seed proves the suite seed it ran under
+        instance = InstanceId.from_str(record.instance_id)
+        if record.seed != record_seed(suite_seed, instance, record.replicate):
+            raise ValueError(f"{out_path} holds a record of {record.instance_id} whose seed "
+                             f"is not suite seed {suite_seed}'s")
+    existing = {record.key() for record in kept}
     pending = [
         (instance, replicate)
         for instance in instances

@@ -45,6 +45,12 @@ def make_grid(
     return Grid(energy=e, obstacles=o, start=tuple(start), spec=None)
 
 
+def held_energy(result) -> int:
+    """Cell energy plus carried units after an episode: conserved across
+    every action, so equal for every prefix of a plan."""
+    return sum(map(sum, result.energy)) + result.carried
+
+
 def grid_from_text(text: str) -> Grid:
     """A grid read from its text form by the oracle's parser."""
     ref = oracle.parse_grid_text(text)

@@ -24,17 +24,19 @@ from conftest import (
     PARSER_VECTORS,
     fixture_text,
     grid_from_text,
+    held_energy,
     make_grid,
     nearest_energy_distance,
     reference_greedy_plan,
 )
 from grasp.agents import BASELINES, greedy_plan_step
 from grasp.env import (
+    COMPLEMENTS,
+    MAX_STEPS,
     Action,
     ActionSet,
     ConstraintSet,
-    EpisodeState,
-    complement,
+    Effect,
     run_episode,
 )
 from grasp.generate import (
@@ -323,17 +325,21 @@ def test_reference_greedy_hand_cases(start, energy, plan, scores):
 
 def _checked_greedy_episode(grid, constraints, rng):
     """Greedy episode driven through the public planner, with every BFS
-    decision checked against the brute-force shortest-path oracle."""
-    state = EpisodeState(grid, constraints)
+    decision checked against the brute-force shortest-path oracle. Each
+    decision reads the position and remaining budget of the plan so far as
+    the simulator plays it."""
     belief = grid.copy_energy()
+    plan = []
     past = []
+    state = run_episode(grid, constraints, plan)
     while True:
+        remaining = MAX_STEPS - state.length
         path = greedy_plan_step(
-            grid, belief, state.agent_pos, state.remaining,
+            grid, belief, state.final_pos, remaining,
             constraints.action_set, rng, past,
         )
         best = nearest_energy_distance(
-            grid, belief, state.agent_pos, constraints.action_set.moves
+            grid, belief, state.final_pos, constraints.action_set.moves
         )
         if path is None:
             needed_for_best = (
@@ -341,21 +347,22 @@ def _checked_greedy_episode(grid, constraints, rng):
                 if math.isinf(best)
                 else 2 * best + len(past) + 2
             )
-            assert math.isinf(best) or needed_for_best > state.remaining, (
+            assert math.isinf(best) or needed_for_best > remaining, (
                 "planner retreated although a reachable target fit the budget"
             )
-            for action in reversed(past):
-                assert state.step(complement(action)).value == "applied"
-            state.step(Action.DROP)
-            return state.result()
+            plan += [COMPLEMENTS[action] for action in reversed(past)] + [Action.DROP]
+            assert len(plan) <= MAX_STEPS, "plan overran the step budget"
+            result = run_episode(grid, constraints, plan)
+            retrace = result.trace[state.length:-1]
+            assert all(effect is Effect.APPLIED for _, effect in retrace)
+            return result
         assert len(path) == best, (
             f"path length {len(path)} differs from oracle distance {best}"
         )
-        for action in path:
-            state.step(action)
-            past.append(action)
-        state.step(Action.TAKE)
-        row, col = state.agent_pos
+        plan += path + [Action.TAKE]
+        past += path
+        state = run_episode(grid, constraints, plan)
+        row, col = state.final_pos
         belief[row][col] -= 1
 
 
@@ -413,23 +420,21 @@ def test_criterion_6_simulator_invariants():
     episodes = 0
     for _ in range(10000):
         grid, constraints, plan = _random_instance(rng)
-        state = EpisodeState(grid, constraints)
-        initial = state.total_energy()
-        for action in plan[:20]:
-            state.step(action)
-            assert state.total_energy() == initial, "conservation broken"
-        result = state.result()
+        result = run_episode(grid, constraints, plan)
+        initial = held_energy(run_episode(grid, constraints, []))
+        # the state after step k is the episode of the plan's first k actions
+        for k in range(1, result.length + 1):
+            state = run_episode(grid, constraints, plan[:k])
+            assert held_energy(state) == initial, "conservation broken"
+            assert state.trace == result.trace[:k], "prefix diverged"
         assert (
             result.score_tenths + constraints.cost_tenths * result.length
             == 10 * result.energy_at_start
         ), "score decomposition broken"
-        batch = run_episode(grid, constraints, plan)
-        assert batch.trace == result.trace, "batch/stepwise diverged"
-        assert batch.score_tenths == result.score_tenths
         if len(plan) > 20:
             truncated = run_episode(grid, constraints, plan[:20])
-            assert batch.trace == truncated.trace, "truncation broken"
-            assert batch.score_tenths == truncated.score_tenths
+            assert result.trace == truncated.trace, "truncation broken"
+            assert result.score_tenths == truncated.score_tenths
         episodes += 1
     _report("6 simulator invariants", episodes == 10000, f"episodes={episodes}")
 

@@ -11,13 +11,13 @@ from grasp.agents import (
     random_walk_plan,
 )
 from grasp.env import (
+    COMPLEMENTS,
+    MAX_STEPS,
     Action,
     ActionSet,
     ConstraintSet,
     Effect,
-    EpisodeState,
     MOVE_DELTAS,
-    complement,
     run_episode,
 )
 from grasp.generate import GRID_SIZE, DistributionKind, StartMode, generate_grid
@@ -231,25 +231,24 @@ def test_greedy_plan_independent_of_limit_and_cost():
 
 def _live_greedy(grid, constraints, rng):
     """The greedy agent stepped live: each decision reads the position and
-    remaining budget of the running episode, under the real constraints."""
-    state = EpisodeState(grid, constraints)
+    remaining budget of the running episode, played by the simulator on the
+    plan so far under the real constraints."""
     belief = grid.copy_energy()
+    plan = []
     past = []
+    state = run_episode(grid, constraints, plan)
     while True:
         path = greedy_plan_step(
-            grid, belief, state.agent_pos, state.remaining,
+            grid, belief, state.final_pos, MAX_STEPS - state.length,
             constraints.action_set, rng, past,
         )
         if path is None:
-            for action in reversed(past):
-                state.step(complement(action))
-            state.step(Action.DROP)
-            return state.result()
-        for action in path:
-            state.step(action)
-            past.append(action)
-        state.step(Action.TAKE)
-        row, col = state.agent_pos
+            plan += [COMPLEMENTS[action] for action in reversed(past)] + [Action.DROP]
+            return run_episode(grid, constraints, plan)
+        plan += path + [Action.TAKE]
+        past += path
+        state = run_episode(grid, constraints, plan)
+        row, col = state.final_pos
         belief[row][col] -= 1
 
 

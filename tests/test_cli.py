@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from grasp.cli import main
+from grasp.generate import DistributionKind, StartMode, generate_grid, grid_to_dict
 from grasp.llm import build_prompt, write_cassette
 from grasp.runner import Benchmark, enumerate_instances, load_records
 
@@ -325,12 +327,25 @@ def test_import_loads_no_thread_pool():
     assert out == "[]\n"
 
 
-def test_import_leaves_numpy_out():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("grasp").__file__)))
-    code = "import sys, grasp.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out == "False\n"
+def test_src_imports_only_the_stdlib():
+    """grasp has no runtime dependency: every module that src/grasp imports,
+    at the top or inside a function, is in the standard library or grasp."""
+    package = Path(__import__("grasp").__file__).parent
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert {"http", "concurrent", "multiprocessing"} <= imported.keys()  # imported in functions
+    foreign = {name: where for name, where in imported.items()
+               if name not in sys.stdlib_module_names and name != "grasp"}
+    assert foreign == {}
 
 
 @pytest.mark.parametrize("agent", ["greedy", "llm:m"])
@@ -355,11 +370,25 @@ def test_gen_refuses_a_per_combo_out_of_range(tmp_path, capsys, per_combo):
     assert not out.exists()
 
 
+def _grid_dict(**fields):
+    grid = generate_grid(DistributionKind.CLUSTER, True, StartMode.INNER, 0, 3)
+    return {**grid_to_dict(grid), **fields}
+
+
+_TRACE = {"instance_id": "dist=random/obs=0/start=in/g=0/mu=1/lim=0/cost=0",
+          "actions": [], "effects": []}
+
+
 @pytest.mark.parametrize("command, content, complaint", [
     ("render", [1], "holds no JSON object"),
     ("render", {"start": [0, 0]}, "has no field 'cells'"),
     ("trace", [1], "holds no JSON object"),
     ("trace", {}, "has no field 'instance_id'"),
+    ("render", _grid_dict(params=[1]), "field 'params' holds no JSON object"),
+    ("render", _grid_dict(params={"bogus": 1}), "field 'params' has unknown field 'bogus'"),
+    ("trace", {**_TRACE, "constraints": {}}, "field 'constraints' has no field 'action_set'"),
+    ("trace", {**_TRACE, "constraints": []}, "field 'constraints' holds no JSON object"),
+    ("trace", "{", "does not parse"),
 ])
 def test_render_and_trace_refuse_a_file_they_cannot_read(
     tmp_path, capsys, command, content, complaint
@@ -387,4 +416,43 @@ def test_run_refuses_a_benchmark_whose_grid_lacks_a_field(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert err == f"error: {grid} has no field 'start'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, complaint", [
+    ([1], "holds no JSON object"),
+    ({"bogus": 1}, "has unknown field 'bogus'"),
+])
+def test_run_refuses_a_benchmark_whose_grid_params_cannot_be_read(
+    tmp_path, capsys, params, complaint
+):
+    bench = tmp_path / "bench"
+    assert run_cli(capsys, "gen", "--out", str(bench), "--per-combo", "1")[0] == 0
+    grid = bench / "grids" / "random" / "obs0" / "inner" / "000.json"
+    grid.write_text(json.dumps({**json.loads(grid.read_text()), "params": params}))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--agent", "greedy", "--benchmark", str(bench),
+                                "--subset", "0..0", "--out", str(out / "r.jsonl"))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {grid} field 'params' {complaint}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, complaint", [
+    ([1], "must hold an object whose records are an object"),
+    ({"records": [1]}, "must hold an object whose records are an object"),
+    ({"records": {"k": 1}}, "record 'k' has no string response"),
+    ({"records": {"k": {"request": {}}}}, "record 'k' has no string response"),
+    ({"records": {"k": {"request": {}, "response": None}}}, "record 'k' has no string response"),
+])
+def test_run_refuses_a_malformed_cassette_before_writing(tmp_path, capsys, content, complaint):
+    cassette = tmp_path / "cassette.json"
+    cassette.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "--agent", "llm:m", "--cassette", str(cassette),
+                                "--subset", "0..0", "--out", str(out / "r.jsonl"))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: cassette {cassette} {complaint}\n"
     assert not out.exists()

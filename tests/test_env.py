@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from conftest import make_grid, oracle
+from conftest import held_energy, make_grid, oracle
 from grasp.env import (
+    COMPLEMENTS,
+    MAX_STEPS,
     MOVE_DELTAS,
     MU1,
     MU2,
     Action,
     ActionSet,
-    BudgetExhausted,
     ConstraintSet,
     Effect,
-    EpisodeState,
-    complement,
     replay,
     run_episode,
 )
@@ -38,11 +37,11 @@ def test_move_deltas():
 
 def test_complement_involution():
     for action in MU2:
-        assert complement(complement(action)) is action
-    assert complement(Action.UP) is Action.DOWN
-    assert complement(Action.LEFT) is Action.RIGHT
-    assert complement(Action.UPLEFT) is Action.DOWNRIGHT
-    assert complement(Action.UPRIGHT) is Action.DOWNLEFT
+        assert COMPLEMENTS[COMPLEMENTS[action]] is action
+    assert COMPLEMENTS[Action.UP] is Action.DOWN
+    assert COMPLEMENTS[Action.LEFT] is Action.RIGHT
+    assert COMPLEMENTS[Action.UPLEFT] is Action.DOWNRIGHT
+    assert COMPLEMENTS[Action.UPRIGHT] is Action.DOWNLEFT
 
 
 def test_action_sets():
@@ -51,26 +50,30 @@ def test_action_sets():
     assert len(MU1) == 4 and len(MU2) == 8
 
 
+def _last_effect(result):
+    return result.trace[-1][1]
+
+
 def test_up_from_7_4():
-    state = EpisodeState(make_grid(start=(7, 4)), FREE)
-    assert state.step(Action.UP) is Effect.APPLIED
-    assert state.agent_pos == (6, 4)
+    result = run_episode(make_grid(start=(7, 4)), FREE, [Action.UP])
+    assert _last_effect(result) is Effect.APPLIED
+    assert result.final_pos == (6, 4)
 
 
 def test_diagonal_noop_under_mu1():
-    state = EpisodeState(make_grid(), ConstraintSet(action_set=ActionSet.MU1))
-    assert state.step(Action.UPLEFT) is Effect.NOOP
-    assert state.agent_pos == (5, 5)
-    state = EpisodeState(make_grid(), ConstraintSet(action_set=ActionSet.MU2))
-    assert state.step(Action.UPLEFT) is Effect.APPLIED
-    assert state.agent_pos == (4, 4)
+    result = run_episode(make_grid(), ConstraintSet(action_set=ActionSet.MU1), [Action.UPLEFT])
+    assert _last_effect(result) is Effect.NOOP
+    assert result.final_pos == (5, 5)
+    result = run_episode(make_grid(), ConstraintSet(action_set=ActionSet.MU2), [Action.UPLEFT])
+    assert _last_effect(result) is Effect.APPLIED
+    assert result.final_pos == (4, 4)
 
 
 def test_boundary_blocks_and_counts():
-    state = EpisodeState(make_grid(start=(0, 0)), FREE)
-    assert state.step(Action.UP) is Effect.NOOP
-    assert state.agent_pos == (0, 0)
-    assert state.steps_executed == 1
+    result = run_episode(make_grid(start=(0, 0)), FREE, [Action.UP])
+    assert _last_effect(result) is Effect.NOOP
+    assert result.final_pos == (0, 0)
+    assert result.length == 1
 
 
 def test_obstacle_blocks():
@@ -82,9 +85,9 @@ def test_obstacle_blocks():
         ([(4, 5), (5, 4)], mu2, Action.UPLEFT, Effect.APPLIED, (4, 4)),
     ]
     for obstacles, constraints, action, effect, pos in cases:
-        state = EpisodeState(make_grid(start=(5, 5), obstacles=obstacles), constraints)
-        assert state.step(action) is effect
-        assert state.agent_pos == pos
+        result = run_episode(make_grid(start=(5, 5), obstacles=obstacles), constraints, [action])
+        assert _last_effect(result) is effect
+        assert result.final_pos == pos
 
 
 def test_take_drop_round_trip():
@@ -99,45 +102,44 @@ def test_take_drop_round_trip():
 
 
 def test_take_empty_cell_noop():
-    state = EpisodeState(make_grid(), FREE)
-    assert state.step(Action.TAKE) is Effect.NOOP
-    assert state.carried == 0
+    result = run_episode(make_grid(), FREE, [Action.TAKE])
+    assert _last_effect(result) is Effect.NOOP
+    assert result.carried == 0
 
 
 def test_take_at_carry_limit_noop():
     grid = make_grid(start=(5, 5), energy=[(5, 5, 3)])
     # the start cell normally holds nothing at generation; hand-built here
-    state = EpisodeState(grid, LIMITED)
-    assert state.step(Action.TAKE) is Effect.APPLIED
-    assert state.step(Action.TAKE) is Effect.APPLIED
-    assert state.carried == 2
-    assert state.step(Action.TAKE) is Effect.NOOP
-    assert state.carried == 2
-    assert state.energy[5][5] == 1
+    plan = [Action.TAKE] * 3
+    two = run_episode(grid, LIMITED, plan[:2])
+    assert [effect for _, effect in two.trace] == [Effect.APPLIED] * 2
+    assert two.carried == 2
+    three = run_episode(grid, LIMITED, plan)
+    assert _last_effect(three) is Effect.NOOP
+    assert three.carried == 2
+    assert three.energy[5][5] == 1
 
 
 def test_drop_empty_hands_noop():
-    state = EpisodeState(make_grid(), FREE)
-    assert state.step(Action.DROP) is Effect.NOOP
+    assert _last_effect(run_episode(make_grid(), FREE, [Action.DROP])) is Effect.NOOP
 
 
 def test_drop_accumulates_and_retake():
     grid = make_grid(start=(5, 5), energy=[(5, 6), (5, 4)])
-    state = EpisodeState(grid, FREE)
-    for action in (Action.RIGHT, Action.TAKE, Action.LEFT, Action.LEFT,
-                   Action.TAKE, Action.RIGHT, Action.DROP):
-        state.step(action)
-    assert state.energy[5][5] == 2
-    assert state.carried == 0
-    assert state.step(Action.TAKE) is Effect.APPLIED
-    assert state.energy[5][5] == 1
+    plan = [Action.RIGHT, Action.TAKE, Action.LEFT, Action.LEFT,
+            Action.TAKE, Action.RIGHT, Action.DROP]
+    dropped = run_episode(grid, FREE, plan)
+    assert dropped.energy[5][5] == 2
+    assert dropped.carried == 0
+    retaken = run_episode(grid, FREE, plan + [Action.TAKE])
+    assert _last_effect(retaken) is Effect.APPLIED
+    assert retaken.energy[5][5] == 1
 
 
 def test_invalid_token_noop_consumes_step():
-    state = EpisodeState(make_grid(), COSTLY)
-    assert state.step(Action.INVALID_TOKEN) is Effect.NOOP
-    assert state.steps_executed == 1
-    result = state.result()
+    result = run_episode(make_grid(), COSTLY, [Action.INVALID_TOKEN])
+    assert _last_effect(result) is Effect.NOOP
+    assert result.length == 1
     assert result.score_tenths == -3
 
 
@@ -159,14 +161,6 @@ def test_truncation_at_twenty():
     assert full.length == 20
     assert full.trace == trimmed.trace
     assert full.score_tenths == trimmed.score_tenths
-
-
-def test_budget_error_on_twenty_first():
-    state = EpisodeState(make_grid(), FREE)
-    for _ in range(20):
-        state.step(Action.UP)
-    with pytest.raises(BudgetExhausted):
-        state.step(Action.UP)
 
 
 def test_empty_plan():
@@ -196,11 +190,9 @@ def test_conservation_on_random_episodes():
     rng = random.Random(1234)
     for _ in range(300):
         grid, constraints, plan = _random_setup(rng)
-        state = EpisodeState(grid, constraints)
-        initial = state.total_energy()
-        for action in plan[:20]:
-            state.step(action)
-            assert state.total_energy() == initial
+        initial = held_energy(run_episode(grid, constraints, []))
+        for k in range(1, min(len(plan), MAX_STEPS) + 1):
+            assert held_energy(run_episode(grid, constraints, plan[:k])) == initial
 
 
 def test_score_decomposition_exact_in_tenths():
@@ -214,43 +206,24 @@ def test_score_decomposition_exact_in_tenths():
         )
 
 
-def test_batch_equals_stepwise():
-    rng = random.Random(4321)
-    for _ in range(200):
-        grid, constraints, plan = _random_setup(rng)
-        batch = run_episode(grid, constraints, plan)
-        state = EpisodeState(grid, constraints)
-        for action in plan:
-            if state.remaining == 0:
-                break
-            state.step(action)
-        stepwise = state.result()
-        assert batch.trace == stepwise.trace
-        assert batch.score_tenths == stepwise.score_tenths
-        assert batch.final_pos == stepwise.final_pos
-
-
 def test_applied_move_then_complement_restores():
     rng = random.Random(777)
     for _ in range(200):
         grid, constraints, _ = _random_setup(rng)
-        state = EpisodeState(grid, constraints)
         move = rng.choice(list(constraints.action_set.moves))
-        before = state.agent_pos
-        if state.step(move) is Effect.APPLIED:
-            assert state.step(complement(move)) is Effect.APPLIED
-            assert state.agent_pos == before
+        if _last_effect(run_episode(grid, constraints, [move])) is Effect.APPLIED:
+            back = run_episode(grid, constraints, [move, COMPLEMENTS[move]])
+            assert _last_effect(back) is Effect.APPLIED
+            assert back.final_pos == grid.start
 
 
 def test_conservation_includes_step_cost_as_bookkeeping():
     # cost reduces the score, not the physical energy in play
     grid = make_grid(start=(5, 5), energy=[(5, 6)])
-    state = EpisodeState(grid, COSTLY)
-    initial = state.total_energy()
-    for action in (Action.RIGHT, Action.TAKE, Action.LEFT, Action.DROP):
-        state.step(action)
-    assert state.total_energy() == initial
-    assert state.result().score_tenths == 10 - 12
+    plan = [Action.RIGHT, Action.TAKE, Action.LEFT, Action.DROP]
+    result = run_episode(grid, COSTLY, plan)
+    assert held_energy(result) == held_energy(run_episode(grid, COSTLY, []))
+    assert result.score_tenths == 10 - 12
 
 
 def _trace(constraints, result):

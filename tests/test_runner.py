@@ -569,6 +569,22 @@ def test_resume_refuses_records_without_a_meta_file(tmp_path):
     assert summary["scored"] == 160
 
 
+def test_resume_refuses_records_of_another_suite_seed(tmp_path):
+    out = tmp_path / "results.jsonl"
+    meta = tmp_path / "results.jsonl.meta.json"
+    run_suite(Benchmark.from_seed(0), "greedy", str(out), index_lo=0, index_hi=0)
+    other = str(tmp_path / "other.jsonl")
+    run_suite(Benchmark.from_seed(0), "greedy", other, index_lo=1, index_hi=1, suite_seed=7)
+    with open(out, "a", encoding="utf-8") as handle:
+        handle.write(Path(other).read_text(encoding="utf-8"))
+    before = out.read_bytes(), meta.read_bytes()
+    with pytest.raises(ValueError) as err:
+        run_suite(Benchmark.from_seed(0), "greedy", str(out), index_lo=0, index_hi=1)
+    assert str(out) in str(err.value)
+    assert "dist=random/obs=0/start=in/g=1/mu=1/lim=0/cost=0" in str(err.value)
+    assert (out.read_bytes(), meta.read_bytes()) == before
+
+
 def test_meta_file_is_replaced_whole(tmp_path, monkeypatch):
     out = str(tmp_path / "results.jsonl")
     meta_path = Path(out + ".meta.json")
